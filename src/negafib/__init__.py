@@ -7,7 +7,6 @@ from .charpoly import (
     DominanceConstants,
     FamilyPolys,
     RootProfile,
-    charpoly,
     compute_roots,
     cross_k_monotonicity,
     dominance_constants,
@@ -71,7 +70,7 @@ __all__ = [
     "PipelineReport", "PowerScanResult", "PrecisionError", "RBall",
     "ReductionOutcome", "RootProfile", "ScanResult", "SeqWindow",
     "UnsupportedCaseError", "WindowTooLargeError", "bd_iterate", "bd_reduce",
-    "binet_eval", "cf_expand", "cf_value", "charpoly", "compute_roots",
+    "binet_eval", "cf_expand", "cf_value", "compute_roots",
     "convergents", "cross_k_monotonicity", "crossing_bound", "deweger_factor",
     "dominance_constants", "dominance_residual", "dresden_weight",
     "family_polys", "k4_pipeline", "kfib", "kfib_window", "matveev_exponent",

@@ -105,7 +105,7 @@ class RBall:
     @classmethod
     def from_decimal(cls, s: str, prec: int = DEFAULT_PREC) -> "RBall":
         """Exact decimal string, e.g. '9.14' means the rational 914/100."""
-        return cls.from_fraction(_decimal_to_fraction(s), prec)
+        return cls.from_fraction(s, prec)
 
     @classmethod
     def from_endpoints(cls, lo, hi, prec: int = DEFAULT_PREC) -> "RBall":
@@ -277,10 +277,6 @@ class RBall:
         return e
 
 
-def _decimal_to_fraction(s: str) -> Fraction:
-    return Fraction(s.strip())
-
-
 def _coerce(x, prec) -> RBall:
     if isinstance(x, RBall):
         return x
@@ -372,13 +368,6 @@ class CBall:
             raise PrecisionError("negative power of a rectangle containing zero")
         return CBall(mpci_pow_int(self.v, int(e), self.prec), self.prec)
 
-    def contained_in(self, other: "CBall") -> bool:
-        """Certified containment of rectangles (closed)."""
-        return (other.real().lower() <= self.real().lower()
-                and self.real().upper() <= other.real().upper()
-                and other.imag().lower() <= self.imag().lower()
-                and self.imag().upper() <= other.imag().upper())
-
     def strictly_inside(self, other: "CBall") -> bool:
         return (other.real().lower() < self.real().lower()
                 and self.real().upper() < other.real().upper()
@@ -399,23 +388,7 @@ class CBall:
 def _coerce_c(x, prec) -> CBall:
     if isinstance(x, CBall):
         return x
-    if isinstance(x, RBall):
-        return CBall.from_real(x)
-    if isinstance(x, (int, Fraction, str)):
-        return CBall.from_real(_coerce(x, prec))
-    raise TypeError(f"cannot interpret {type(x).__name__} as a complex ball")
-
-
-def ball_min(a: RBall, b: RBall) -> RBall:
-    lo = min(a.lower(), b.lower())
-    hi = min(a.upper(), b.upper())
-    return RBall.from_endpoints(lo, hi, max(a.prec, b.prec))
-
-
-def ball_max(a: RBall, b: RBall) -> RBall:
-    lo = max(a.lower(), b.lower())
-    hi = max(a.upper(), b.upper())
-    return RBall.from_endpoints(lo, hi, max(a.prec, b.prec))
+    return CBall.from_real(_coerce(x, prec))
 
 
 def ball_to_json(b: RBall, digits: int = 30) -> dict:
@@ -436,7 +409,7 @@ def ball_from_json(doc: dict, prec: int) -> RBall:
     if "exact_lo" in doc and "exact_hi" in doc:
         return RBall((_mpf_decode(doc["exact_lo"]),
                       _mpf_decode(doc["exact_hi"])), prec)
-    mid = _decimal_to_fraction(doc["mid"])
+    mid = Fraction(doc["mid"])
     e = doc.get("radius_exp")
     rad = Fraction(0) if e is None else Fraction(10) ** e
     return RBall.from_midrad(mid, rad, prec)

@@ -172,7 +172,8 @@ def certified_roots(poly: IntPoly, prec: int = DEFAULT_PREC) -> list[CBall]:
     Each returned rectangle provably contains exactly one simple root, the
     rectangles are pairwise disjoint, and non-real roots come in exact
     conjugate pairs (positive-imaginary member computed, mirror synthesized).
-    Raises PrecisionError when separation or certification fails.
+    The real roots come first; each non-real root is followed directly by its
+    conjugate.  Raises PrecisionError when separation or certification fails.
     """
     if poly.degree < 1:
         raise ValueError("constant polynomial has no roots")
@@ -239,9 +240,6 @@ class RootProfile:
                 seen[id(m)] = i
         return pairs
 
-    def is_conjugate_pair(self, i: int, j: int) -> bool:
-        return self.moduli[i] is self.moduli[j] and i != j
-
 
 def _build_profile(k: int, prec: int) -> RootProfile:
     fam = family_polys(k)
@@ -249,30 +247,11 @@ def _build_profile(k: int, prec: int) -> RootProfile:
     entries = []
     for ball in balls:
         is_real = ball.imag().lower() == 0 == ball.imag().upper()
-        entries.append({"root": ball, "real": is_real, "modulus": None})
-    # conjugate partners share one modulus ball
-    used = set()
-    for i, e in enumerate(entries):
-        if i in used:
-            continue
-        if e["real"]:
-            e["modulus"] = abs(e["root"])
-            used.add(i)
-            continue
-        partner = None
-        for j in range(i + 1, len(entries)):
-            if j in used or entries[j]["real"]:
-                continue
-            if entries[j]["root"].real().overlaps(e["root"].real()) and \
-               entries[j]["root"].imag().overlaps(-e["root"].imag()):
-                partner = j
-                break
-        if partner is None:
-            raise PrecisionError("conjugate pairing failed")
-        m = abs(e["root"])
-        e["modulus"] = m
-        entries[partner]["modulus"] = m
-        used.update((i, partner))
+        if is_real or ball.imag().is_positive():
+            modulus = abs(ball)
+        # otherwise ball is the conjugate of the root just before it, and the
+        # pair shares that root's modulus ball
+        entries.append({"root": ball, "real": is_real, "modulus": modulus})
     entries.sort(key=lambda e: (-e["modulus"].mid(), -e["root"].imag().mid()))
 
     roots = tuple(e["root"] for e in entries)

@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .balls import CBall, RBall
 
 
 @dataclass(frozen=True)
@@ -30,9 +27,9 @@ class IntPoly:
 
     def __call__(self, x):
         """Horner evaluation; exact for int/Fraction, enclosing for balls."""
-        acc = _zero_like(x)
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + _const_like(c, x)
+            acc = acc * x + c
         return acc
 
     def derivative(self) -> "IntPoly":
@@ -53,12 +50,6 @@ class IntPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def reversed_poly(self) -> "IntPoly":
-        """x**deg * p(1/x); assumes nonzero constant term."""
-        if self.coeffs[0] == 0:
-            raise ValueError("reversal needs a nonzero constant term")
-        return IntPoly(tuple(reversed(self.coeffs)))
-
     def __str__(self):
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -72,22 +63,3 @@ class IntPoly:
                 terms.append(f"{c}*x^{i}" if abs(c) != 1 else (f"x^{i}" if c > 0 else f"-x^{i}"))
         return " + ".join(reversed(terms)).replace("+ -", "- ") or "0"
 
-
-def _zero_like(x):
-    if isinstance(x, CBall):
-        return CBall.from_int(0, x.prec)
-    if isinstance(x, RBall):
-        return RBall.from_int(0, x.prec)
-    if isinstance(x, Fraction):
-        return Fraction(0)
-    return 0
-
-
-def _const_like(c, x):
-    if isinstance(x, CBall):
-        return CBall.from_int(c, x.prec)
-    if isinstance(x, RBall):
-        return RBall.from_int(c, x.prec)
-    if isinstance(x, Fraction):
-        return Fraction(c)
-    return c

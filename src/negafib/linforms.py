@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .balls import DEFAULT_PREC, PrecisionError, RBall
+from .balls import DEFAULT_PREC, PrecisionError, RBall, _coerce
 from .charpoly import RootProfile, certified_roots
 from .intpoly import IntPoly
 
@@ -39,9 +39,16 @@ def weil_height(poly: IntPoly, prec: int = DEFAULT_PREC) -> HeightResult:
         raise ValueError("height needs a nonconstant polynomial")
     if poly.leading <= 0:
         raise ValueError("height needs a positive leading coefficient")
-    total = RBall.from_int(poly.leading, prec).log()
+    value = _height_from_roots(poly.leading, certified_roots(poly, prec), prec)
+    return HeightResult(value=value, degree=poly.degree, poly=poly)
+
+
+def _height_from_roots(leading: int, roots, prec: int) -> RBall:
+    """(log leading + sum log+ |root|) / len(roots), from certified
+    enclosures of all roots of a polynomial with that leading coefficient."""
+    total = RBall.from_int(leading, prec).log()
     one = Fraction(1)
-    for root in certified_roots(poly, prec):
+    for root in roots:
         m = abs(root)
         if m.upper() <= one:
             continue
@@ -51,8 +58,7 @@ def weil_height(poly: IntPoly, prec: int = DEFAULT_PREC) -> HeightResult:
             # modulus ball straddles 1: log+ lies in [0, log(upper)]
             hi = RBall.from_fraction(m.upper(), prec).log()
             total = total + RBall.from_endpoints(0, max(Fraction(0), hi.upper()), prec)
-    value = total / RBall.from_int(poly.degree, prec)
-    return HeightResult(value=value, degree=poly.degree, poly=poly)
+    return total / RBall.from_int(len(roots), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +116,11 @@ def matveev_exponent(inst: MatveevInstance, prec: int = DEFAULT_PREC) -> RBall:
 # the mixed-sign (m >= 0, n < 0) instance for order 4
 # ---------------------------------------------------------------------------
 
+# 1 - delta for order 4 as printed, rounded to three decimals; the decay
+# slope and the reduction base B_red are built from it
+PRINTED_ONE_MINUS_DELTA = "0.214"
+
+
 @dataclass(frozen=True)
 class MixedSignInstance:
     """Everything the order-4 mixed-sign analysis feeds downstream.
@@ -151,17 +162,18 @@ def mixed_sign_instance(profile4: RootProfile, prec: int = DEFAULT_PREC,
     log_a1 = a1.log()
 
     gamma1_abs = g_a1 / g_a4
-    slope = RBall.from_decimal("0.214", prec) * neg_log_a4
+    slope = RBall.from_decimal(PRINTED_ONE_MINUS_DELTA, prec) * neg_log_a4
     intercept = (a4_abs / abs(g_a4)).log()
     kappa = neg_log_a4 / log_a1
     mu = -(gamma1_abs.log()) / log_a1
-    b_red = (RBall.from_decimal("0.214", prec) * neg_log_a4).exp()
+    b_red = (RBall.from_decimal(PRINTED_ONE_MINUS_DELTA, prec) * neg_log_a4).exp()
     a_red = RBall.from_decimal("9.65", prec) / b_red
 
     # A_i floors: A_1 covers the imported height bound 4 log 3 for
     # gamma_1 = +-g4(a1)/g4(a4); A_2 = A_3 cover D h = 12 h(T_4) and the
-    # plain logs of gamma_2 = a1, gamma_3 = a4.
-    height_t4 = weil_height(IntPoly((-1, -1, -1, -1, 1)), prec).value
+    # plain logs of gamma_2 = a1, gamma_3 = a4.  T_4 is monic and its roots
+    # are the profile's.
+    height_t4 = _height_from_roots(1, profile4.roots, prec)
     a_big = Fraction("52.74")
     a_small = Fraction("2.736")
     d_field = 12
@@ -174,7 +186,7 @@ def mixed_sign_instance(profile4: RootProfile, prec: int = DEFAULT_PREC,
         ("A3_covers_log_gamma3", abs(a4_abs.log()).upper() <= a_small),
         ("height_below_0.228", height_t4.lt(RBall.from_decimal("0.228", prec))),
         ("slope_matches_one_minus_delta_printed",
-         _printed_agree(slope / neg_log_a4, "0.214", prec)),
+         _printed_agree(slope / neg_log_a4, PRINTED_ONE_MINUS_DELTA, prec)),
     )
     inst = MatveevInstance(
         t=3,
@@ -229,10 +241,10 @@ def crossing_bound(a, b, C, c0=0, prec: int = DEFAULT_PREC) -> int:
     any a > 0, C > 0.  Certified: the returned N0 satisfies the inequality
     and N0 - 1 (when > 0) fails it, both by outward-rounded evaluation.
     """
-    a = _as_ball(a, prec)
-    b = _as_ball(b, prec)
-    C = _as_ball(C, prec)
-    c0 = _as_ball(c0, prec)
+    a = _coerce(a, prec)
+    b = _coerce(b, prec)
+    C = _coerce(C, prec)
+    c0 = _coerce(c0, prec)
     if not (a.is_positive() and C.is_positive()):
         raise ValueError("need a > 0 and C > 0")
 
@@ -263,14 +275,3 @@ def crossing_bound(a, b, C, c0=0, prec: int = DEFAULT_PREC) -> int:
         raise PrecisionError("crossing bracket not certified at this precision")
     return hi
 
-
-def _as_ball(x, prec) -> RBall:
-    if isinstance(x, RBall):
-        return x
-    if isinstance(x, int):
-        return RBall.from_int(x, prec)
-    if isinstance(x, (Fraction, str)):
-        return RBall.from_fraction(Fraction(x), prec)
-    if isinstance(x, float):
-        return RBall.from_fraction(Fraction(x), prec)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a ball")

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .balls import DEFAULT_PREC, RBall
 from .charpoly import RootProfile, compute_roots, dominance_constants
 from .linforms import (
+    PRINTED_ONE_MINUS_DELTA,
     crossing_bound,
     deweger_factor,
     matveev_exponent,
@@ -35,6 +36,10 @@ REPLAY_PASS1_MIN_Q = 66618036593827352256020
 REPLAY_A = "9.14"
 REPLAY_B = "1.056"
 REPLAY_M = 10**20
+# Edge of the mixed-sign chain: its inequalities are certified for
+# nu = |n| + 1 >= CHAIN_EDGE, and the exhaustive search covers
+# |m|, |n| <= CHAIN_EDGE.  The replayed second pass lands on it.
+CHAIN_EDGE = 226
 
 # Historical index tabulations for the order-4 equation.  The index
 # convention there is offset by one against the initialization used here
@@ -314,9 +319,10 @@ def tail_lower_threshold(profile4: RootProfile, prec: int = DEFAULT_PREC):
     a4_abs = profile4.moduli[3]
     dom = dominance_constants(4, prec)
     c_ratio = abs(profile4.weights[3]) / a4_abs
-    b0 = (RBall.from_decimal("0.214", prec) * -(a4_abs.log())).exp()
+    b0 = (RBall.from_decimal(PRINTED_ONE_MINUS_DELTA, prec) * -(a4_abs.log())).exp()
     # residual exponent mismatch delta - 0.786 (tiny, positive)
-    r = ((dom.delta - RBall.from_decimal("0.786", prec)) * -(a4_abs.log())).exp()
+    printed_delta = 1 - Fraction(PRINTED_ONE_MINUS_DELTA)
+    r = ((dom.delta - RBall.from_fraction(printed_delta, prec)) * -(a4_abs.log())).exp()
     floor_val = RBall.from_decimal("0.096", prec)
     nu = 1
     while nu < 1000:
@@ -420,7 +426,7 @@ def k4_pipeline(prec: int = DEFAULT_PREC) -> PipelineReport:
                              lhs=coeff.mid_str(10), relation="~", rhs="2.84e16",
                              note="within 0.5 percent"))
 
-    # tail inequalities that make the mixed-sign chain valid from nu = 226 on
+    # tail inequalities that make the mixed-sign chain valid from nu = CHAIN_EDGE on
     nu_threshold, tail_certs = tail_lower_threshold(profile, prec)
     certs.extend(tail_certs)
     notes.append("tail floor valid for all n <= -%d (printed validity range "
@@ -455,13 +461,13 @@ def k4_pipeline(prec: int = DEFAULT_PREC) -> PipelineReport:
                              note=f"q = {trace[0].q}, bound = {trace[0].new_bound}"))
     ok_pass2 = (len(trace) >= 2 and trace[1].q == 3336
                 and trace[1].epsilon_lower.lower() >= Fraction(136, 1000)
-                and trace[1].new_bound in (225, 226))
+                and trace[1].new_bound in (CHAIN_EDGE - 1, CHAIN_EDGE))
     certs.append(Certificate(name="reduction_pass2_checkpoint", ok=ok_pass2,
                              note=f"q = {trace[1].q}, bound = {trace[1].new_bound}"
                              if len(trace) >= 2 else "trace too short"))
 
     # stage 5: exhaustive search of the pinned final box
-    final_bound = 226
+    final_bound = CHAIN_EDGE
     all_matches = pm_intersection(4, 4, (-final_bound, final_bound),
                                   (-final_bound, final_bound))
     solutions = MatchResult(
@@ -499,7 +505,7 @@ def k4_pipeline(prec: int = DEFAULT_PREC) -> PipelineReport:
 
 def _mixed_chain_certificates(profile: RootProfile, prec: int):
     """Certified inequalities that make the mixed-sign chain airtight for
-    nu = |n| + 1 >= 226, including domination of the replayed reduction
+    nu = |n| + 1 >= CHAIN_EDGE, including domination of the replayed reduction
     instance by the sound one."""
     certs = []
     a1 = profile.dominant_root()
@@ -509,13 +515,13 @@ def _mixed_chain_certificates(profile: RootProfile, prec: int):
     half = RBall.from_fraction(Fraction(1, 2), prec)
 
     # residual + 1/2 still below the full power: (1 - c1)|a4|^(delta n) > 1/2
-    # at n = -225, and the left side grows as n decreases
-    growth = (dom.delta * -(a4_abs.log()) * 225).exp()
+    # at n = 1 - CHAIN_EDGE, and the left side grows as n decreases
+    growth = (dom.delta * -(a4_abs.log()) * (CHAIN_EDGE - 1)).exp()
     certs.append(_cert_cmp("half_absorbed_at_edge", (one - dom.c1) * growth, ">", half))
 
-    # solutions with |n| >= 226 have m < |n|: the positive branch already
+    # solutions with |n| >= CHAIN_EDGE have m < |n|: the positive branch already
     # exceeds every negative-branch magnitude at equal index
-    nu = 226
+    nu = CHAIN_EDGE
     lb_pos = abs(profile.weights[0]) * a1.pow_int(nu - 1) - half
     ub_neg = abs(profile.weights[3]) * a4_abs.pow_int(-nu - 1) \
         + dom.c1 * (dom.delta * -(a4_abs.log()) * nu).exp()
@@ -524,18 +530,20 @@ def _mixed_chain_certificates(profile: RootProfile, prec: int):
                            note="positive branch outgrows the negative one"))
 
     # sound linear-form bound A_s B_s^-nu dominates the replayed printed
-    # instance A_p B_p^-nu on nu >= 226
+    # instance A_p B_p^-nu on nu >= CHAIN_EDGE
     b_s = ((one - dom.delta) * -(a4_abs.log())).exp()
     c_f = a4_abs / abs(profile.weights[3])
-    a_edge = c_f * b_s * b_s.pow_int(-226)
+    a_edge = c_f * b_s * b_s.pow_int(-CHAIN_EDGE)
     dw = deweger_factor(RBall.from_fraction(a_edge.upper(), prec))
     a_s = dw * c_f * b_s / a1.log()
     a_p = RBall.from_decimal(REPLAY_A, prec)
     b_p = RBall.from_decimal(REPLAY_B, prec)
     certs.append(_cert_cmp("replay_base_below_sound_base", b_p, "<", b_s))
     certs.append(_cert_cmp("replay_dominates_sound_at_edge",
-                           a_s * b_s.pow_int(-226), "<", a_p * b_p.pow_int(-226),
-                           note="with the base ordering this extends to all nu >= 226"))
+                           a_s * b_s.pow_int(-CHAIN_EDGE), "<",
+                           a_p * b_p.pow_int(-CHAIN_EDGE),
+                           note="with the base ordering this extends to all "
+                                f"nu >= {CHAIN_EDGE}"))
     return certs
 
 

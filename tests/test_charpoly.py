@@ -1,3 +1,4 @@
+import types
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,23 @@ def test_certified_roots_general_polys():
     assert len(roots) == 2
     roots = certified_roots(IntPoly((-3, 2)), 128)
     assert len(roots) == 1 and roots[0].real().contains(Fraction(3, 2))
+
+
+def test_certified_roots_list_each_conjugate_after_its_root():
+    roots = certified_roots(charpoly(7), 192)
+    real = [r.imag().contains_zero() for r in roots]
+    assert real == [True] + [False] * 6  # the real roots come first
+    for z, w in zip(roots[1::2], roots[2::2]):
+        assert z.imag().is_positive()
+        assert w.v == z.conj().v
+
+
+def test_charpoly_name_is_the_submodule():
+    import negafib
+    import negafib.charpoly as m
+    assert isinstance(m, types.ModuleType)
+    assert m.charpoly is charpoly
+    assert "charpoly" not in negafib.__all__
 
 
 def test_certified_roots_cluster_raises_retryable():

@@ -104,7 +104,9 @@ def test_height_subcommand(tmp_path):
 
 def test_matveev_subcommand(tmp_path):
     inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps({"t": 1, "D": 1, "B": 1, "A": ["0.16"]}))
+    doc = {"t": 1, "D": 1, "B": 1, "A": ["0.16"]}
+    validate(doc, "matveev_instance.schema.json")
+    inst.write_text(json.dumps(doc))
     code, out, _ = invoke(["matveev", str(inst), "--format", "json"])
     assert code == 0
     assert json.loads(out)["exponent"]["mid"].startswith("181440")
@@ -114,10 +116,9 @@ def test_matveev_subcommand(tmp_path):
 
 def test_reduce_subcommand(tmp_path):
     inst = tmp_path / "bd.json"
-    inst.write_text(json.dumps({
-        "kappa": "0.5", "mu": "0.25", "A": "5", "B": "1.5", "M": 10,
-        "exact": True,
-    }))
+    doc = {"kappa": "0.5", "mu": "0.25", "A": "5", "B": "1.5", "M": 10, "exact": True}
+    validate(doc, "bd_instance.schema.json")
+    inst.write_text(json.dumps(doc))
     code, out, _ = invoke(["reduce", str(inst), "--format", "json"])
     assert code == 0
     payload = json.loads(out)
@@ -191,9 +192,9 @@ def test_misc_outputs_validate():
 
 def test_matveev_log_floor_input(tmp_path):
     inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps({
-        "t": 1, "D": 1, "B": 1, "A": ["2"], "log_gamma_abs": ["1.5"],
-    }))
+    doc = {"t": 1, "D": 1, "B": 1, "A": ["2"], "log_gamma_abs": ["1.5"]}
+    validate(doc, "matveev_instance.schema.json")
+    inst.write_text(json.dumps(doc))
     code, out, _ = invoke(["matveev", str(inst), "--format", "json"])
     assert code == 0
     validate(json.loads(out), "misc_results.schema.json")

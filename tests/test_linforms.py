@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from negafib.charpoly import compute_roots
 from negafib.intpoly import IntPoly
 from negafib.linforms import (
     MatveevInstance,
+    _height_from_roots,
     crossing_bound,
     deweger_factor,
     matveev_exponent,
@@ -33,6 +35,8 @@ def test_height_of_characteristic_quartic(profile4):
     h = weil_height(IntPoly((-1, -1, -1, -1, 1)), PREC).value
     assert h.overlaps(profile4.dominant_root().log() / 4)
     assert h.lt(RBall.from_decimal("0.228", PREC))
+    # T_4 is monic, so the profile's roots alone give the same height
+    assert _height_from_roots(1, profile4.roots, PREC).overlaps(h)
 
 
 def test_height_of_linear_rational():
@@ -110,6 +114,20 @@ def test_mixed_sign_instance_printed_anchors(profile4):
     assert ms.matveev.A == (Fraction("52.74"), Fraction("2.736"), Fraction("2.736"))
     # A_2 = A_3 = 2.736 is exactly 12 * 0.228
     assert Fraction("2.736") == 12 * Fraction("0.228")
+
+
+def test_mixed_sign_instance_certifies_no_roots(profile4, monkeypatch):
+    linforms = sys.modules["negafib.linforms"]
+    calls = []
+    original = linforms.certified_roots
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linforms, "certified_roots", counted)
+    assert mixed_sign_instance(profile4, PREC).all_checks_pass
+    assert calls == []  # the height of T_4 comes from the profile's roots
 
 
 def test_mixed_sign_internal_consistency(profile4):
