@@ -106,7 +106,7 @@ def _newton_refine(poly: IntPoly, dpoly: IntPoly, z0: complex, prec: int,
                              Fraction(0) if force_real else Fraction(float(z0.imag)),
                              prec)
     tol = Fraction(1, 2 ** (prec + 16))
-    step_size = Fraction(1)
+    step_size = None
     for _ in range(200):
         dval = dpoly(z)
         if dval.contains_zero():
@@ -117,8 +117,11 @@ def _newton_refine(poly: IntPoly, dpoly: IntPoly, z0: complex, prec: int,
             z = _point_cball(z_next.real().mid_mpf(), RBall.from_int(0, prec).v[0], prec)
         else:
             z = _cball_center(z_next)
-        step_size = _abs_upper(step)
+        prev_size, step_size = step_size, _abs_upper(step)
         if step_size <= tol * (1 + _abs_upper(z)):
+            break
+        # the step has hit the rounding floor; Krawczyk certifies regardless
+        if prev_size is not None and step_size * 4 > prev_size:
             break
     return z, step_size
 

@@ -5,6 +5,9 @@ import pytest
 
 from negafib.balls import PrecisionError, RBall
 from negafib.charpoly import (
+    _certify_root,
+    _initial_estimates,
+    _newton_refine,
     certified_roots,
     charpoly,
     compute_roots,
@@ -188,6 +191,53 @@ def test_charpoly_name_is_the_submodule():
     assert isinstance(m, types.ModuleType)
     assert m.charpoly is charpoly
     assert "charpoly" not in negafib.__all__
+
+
+@pytest.mark.parametrize("prec", (384, 1024))
+@pytest.mark.parametrize("k", (4, 10, 20, 40))
+def test_newton_refinement_stops_at_the_rounding_floor(monkeypatch, k, prec):
+    # the step stalls a few ulps above the tolerance, so refinement must
+    # stop on stagnation; the 200-step cap costs over 200 evaluations per root
+    calls = [0]
+    horner = IntPoly.__call__
+
+    def counted(self, x):
+        calls[0] += 1
+        return horner(self, x)
+
+    monkeypatch.setattr(IntPoly, "__call__", counted)
+    roots = certified_roots(family_polys(k).T, prec)
+    assert len(roots) == k
+    assert calls[0] <= 32 * k
+
+
+def test_newton_stops_only_after_converging_from_a_poor_start():
+    prec = 384
+    T = family_polys(10).T
+    dT = T.derivative()
+    roots = certified_roots(T, prec)
+    bound = Fraction(1, 2 ** (prec - 16))
+    for est in _initial_estimates(T):
+        if est.imag < -1e-7:
+            continue  # its conjugate is started instead
+        real = abs(est.imag) <= 1e-7
+        ref = min(roots, key=lambda b: abs(complex(*map(float, b.mid_fractions())) - est))
+        for turn in ((1, -1) if real else (1, 1j, -1, -1j)):
+            start = complex(est) + 1e-3 * turn
+            point, step = _newton_refine(T, dT, start, prec, force_real=real)
+            ball = _certify_root(T, dT, point, step, prec, force_real=real)
+            assert not ball.disjoint(ref), (est, turn)
+            assert ball.real().rad() <= bound and ball.imag().rad() <= bound, (est, turn)
+
+
+def test_root_enclosures_are_within_16_bits_of_precision():
+    # profiles at 384 bits for k <= 40 are already cached by criterion 08
+    prec = 384
+    bound = Fraction(1, 2 ** (prec - 16))
+    for k in range(2, 41):
+        for root in compute_roots(k, prec).roots:
+            assert root.real().rad() <= bound, (k, root)
+            assert root.imag().rad() <= bound, (k, root)
 
 
 def test_certified_roots_cluster_raises_retryable():
