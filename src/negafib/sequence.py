@@ -35,36 +35,36 @@ def _check_order(k: int) -> int:
 
 
 class _SeqCache:
-    """Values of one order-k sequence on a contiguous index range."""
+    """Values of one order-k sequence on a contiguous index range.
+
+    Subtracting two consecutive recurrences gives two-term identities,
+    F_{n+1} = 2 F_n - F_{n-k} forward and F_m = 2 F_{m+k} - F_{m+k+1}
+    backward, so each new value costs O(1) big-integer operations.  Both
+    need k + 1 consecutive values, so the cache starts from F_{-k+1} = 1.
+    """
 
     def __init__(self, k: int):
         self.k = k
-        self.lo = -k + 2
+        self.lo = -k + 1
         self.hi = 1
-        # initial block 0,...,0 followed by F_1 = 1
-        self.vals = [0] * (k - 1) + [1]
+        # F_{-k+1} = 1, the initial block 0,...,0, then F_1 = 1
+        self.vals = [1] + [0] * (k - 1) + [1]
 
     def value(self, n: int) -> int:
         return self.vals[n - self.lo]
 
     def extend_to(self, lo: int, hi: int) -> None:
         k = self.k
-        while self.hi < hi:
-            self.vals.append(sum(self.vals[-k:]))
-            self.hi += 1
+        vals = self.vals
+        for _ in range(hi - self.hi):
+            vals.append(2 * vals[-1] - vals[-k - 1])
+        self.hi = max(self.hi, hi)
         if self.lo > lo:
-            vals, lo_cur = self.vals, self.lo
-            prepend = []  # values at lo_cur-1, lo_cur-2, ... in that order
-
-            def at(n):
-                if n >= lo_cur:
-                    return vals[n - lo_cur]
-                return prepend[lo_cur - 1 - n]
-
-            for m in range(lo_cur - 1, lo - 1, -1):
-                # F_m = F_{m+k} - F_{m+k-1} - ... - F_{m+1}
-                prepend.append(at(m + k) - sum(at(m + j) for j in range(1, k)))
-            self.vals = prepend[::-1] + vals
+            # F_{self.lo+k}, ..., F_{self.lo}, then F_{self.lo-1}, ..., F_lo
+            rev = vals[k::-1]
+            for _ in range(self.lo - lo):
+                rev.append(2 * rev[-k] - rev[-k - 1])
+            self.vals = rev[:k:-1] + vals
             self.lo = lo
 
 

@@ -11,6 +11,8 @@ sampling inside the excluded regions.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -166,6 +168,71 @@ class PowerScanResult:
     trivial: tuple     # (n, value) with value in {0, 1, -1}
 
 
+# Residue tests per prime exponent before an exact root is taken; a
+# non-power passes each with probability about 1/p.
+SIEVE_MODULI = 4
+
+
+@functools.lru_cache(maxsize=None)
+def _primes_below(n: int) -> tuple:
+    """The primes p < n, by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * n
+    flags[:2] = b"\0\0"
+    for i in range(2, math.isqrt(n - 1) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, n, i)))
+    return tuple(i for i, f in enumerate(flags) if f)
+
+
+@functools.lru_cache(maxsize=None)
+def _sieve_moduli(p: int) -> tuple:
+    """(l, (l - 1) / p) for the first SIEVE_MODULI primes l = 1 (mod 2p)."""
+    out = []
+    ell = 1
+    while len(out) < SIEVE_MODULI:
+        ell += 2 * p
+        if all(ell % d for d in range(3, math.isqrt(ell) + 1, 2)):
+            out.append((ell, (ell - 1) // p))
+    return tuple(out)
+
+
+def _may_be_power(a: int, p: int) -> bool:
+    """False only if a is certainly not a p-th power (p prime).
+
+    If a = x^p and l = 1 (mod p) is a prime not dividing a, then
+    a^((l-1)/p) = x^(l-1) = 1 (mod l) by Fermat's little theorem.
+    """
+    for ell, e in _sieve_moduli(p):
+        r = a % ell
+        if r and pow(r, e, ell) != 1:
+            return False
+    return True
+
+
+def _max_power(v: int) -> tuple:
+    """(x, q) with v = x^q and q maximal, for |v| >= 2; q is odd if v < 0.
+
+    Takes exact p-th roots of |v| for ascending primes p while the root y
+    is at least 2^p.  A prime that fails once never divides the exponent of
+    a later root, since a p-th power of a root of y would make y a p-th
+    power.  Every exponent of |v| divides the maximal one, so for v < 0
+    skipping p = 2 leaves the largest odd exponent.
+    """
+    y, q = abs(v), 1
+    # a bound rounded up to a power of two keeps few prime lists cached
+    for p in _primes_below(1 << y.bit_length().bit_length()):
+        if p >= y.bit_length():
+            break
+        if p == 2 and v < 0:
+            continue
+        while _may_be_power(y, p):
+            r, exact = _iroot(y, p)
+            if not exact:
+                break
+            y, q = r, q * p
+    return (y if v > 0 else -y), q
+
+
 def power_scan(k: int, lo: int, hi: int) -> PowerScanResult:
     """Perfect powers F_n = x^q with q >= 2; 0 and +-1 reported separately."""
     window = kfib_window(k, lo, hi)
@@ -174,16 +241,9 @@ def power_scan(k: int, lo: int, hi: int) -> PowerScanResult:
         if v in (0, 1, -1):
             trivial.append((n, v))
             continue
-        av = abs(v)
-        if av < 4:
-            continue
-        for q in range(av.bit_length() - 1, 1, -1):
-            if v < 0 and q % 2 == 0:
-                continue
-            r, exact = _iroot(av, q)
-            if exact and r >= 2:
-                nontrivial.append((n, r if v > 0 else -r, q))
-                break
+        x, q = _max_power(v)
+        if q >= 2:
+            nontrivial.append((n, x, q))
     return PowerScanResult(k=k, lo=lo, hi=hi,
                            nontrivial=tuple(nontrivial), trivial=tuple(trivial))
 

@@ -84,6 +84,24 @@ def test_roots_cache_transparency(tmp_path):
     assert cold == warm == plain
 
 
+def test_roots_cache_accepts_a_doubled_precision_profile(monkeypatch, tmp_path):
+    import negafib.cli as cli
+
+    real, calls = cli.compute_roots, []
+
+    def doubled(k, prec):
+        calls.append((k, prec))
+        return real(k, 2 * prec)
+
+    monkeypatch.setattr(cli, "compute_roots", doubled)
+    argv = ["roots", "4", "--precision-bits", "128", "--cache-dir", str(tmp_path),
+            "--format", "json"]
+    first = invoke(argv)
+    second = invoke(argv)
+    assert first == second and first[0] == 0
+    assert calls == [(4, 128)]
+
+
 def test_determinism():
     a = invoke(["constants", "4", "--format", "json"])
     b = invoke(["constants", "4", "--format", "json"])

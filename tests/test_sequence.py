@@ -5,6 +5,7 @@ import pytest
 
 from negafib.balls import RBall
 from negafib.sequence import (
+    _SeqCache,
     UnsupportedCaseError,
     WindowTooLargeError,
     binet_eval,
@@ -58,6 +59,50 @@ def test_window_point_agreement():
         win = kfib_window(k, lo, hi)
         i = rng.randint(0, hi - lo)
         assert win.values[i] == kfib(k, lo + i)
+
+
+def _reference_values(k, lo, hi):
+    """F_lo..F_hi from the k-term recurrence in both directions."""
+    f = {n: 0 for n in range(-k + 2, 1)}
+    f[1] = 1
+    for n in range(2, hi + 1):
+        f[n] = sum(f[n - j] for j in range(1, k + 1))
+    for m in range(-k + 1, lo - 1, -1):
+        f[m] = f[m + k] - sum(f[m + j] for j in range(1, k))
+    return [f[n] for n in range(lo, hi + 1)]
+
+
+def _assert_cache_matches_reference(cache):
+    assert cache.vals == _reference_values(cache.k, cache.lo, cache.hi)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 40])
+def test_extension_order_does_not_matter(k):
+    lo, hi = -150, 150
+    down_first, up_first, steps = _SeqCache(k), _SeqCache(k), _SeqCache(k)
+    down_first.extend_to(lo, 1)
+    down_first.extend_to(lo, hi)
+    up_first.extend_to(-k + 2, hi)
+    up_first.extend_to(lo, hi)
+    # one value at a time down from the initial block, then small strides
+    for step in (1, 1, 2, 3, 5):
+        steps.extend_to(steps.lo - step, steps.hi + step)
+        _assert_cache_matches_reference(steps)
+    steps.extend_to(lo, hi)
+    for cache in (down_first, up_first, steps):
+        assert (cache.lo, cache.hi) == (lo, hi)
+        _assert_cache_matches_reference(cache)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 40])
+def test_fresh_cache_boundary(k):
+    cache = _SeqCache(k)
+    cache.extend_to(-k + 1, 1)
+    assert cache.value(-k + 1) == 1
+    _assert_cache_matches_reference(cache)
+    cache.extend_to(-k, 2)
+    assert (cache.value(-k), cache.value(2)) == (-1, 1)
+    _assert_cache_matches_reference(cache)
 
 
 def test_window_validates_args():

@@ -4,9 +4,13 @@ from fractions import Fraction
 import pytest
 
 from negafib.charpoly import compute_roots
-from negafib.sequence import kfib
+from negafib.sequence import kfib, kfib_window
 from negafib.solvers import (
     REPLAY_PASS1_MIN_Q,
+    _iroot,
+    _max_power,
+    _may_be_power,
+    _primes_below,
     k4_pipeline,
     multiplicity,
     negative_pair_bounds,
@@ -95,6 +99,53 @@ def test_power_scan_recomputation():
     for n, x, q in ps.nontrivial:
         assert x**q == kfib(4, n)
         assert q >= 2 and abs(x) >= 2
+
+
+def _power_scan_reference(k, lo, hi):
+    """Every exponent from bit_length - 1 down to 2, largest exact one first."""
+    nontrivial, trivial = [], []
+    for n, v in zip(range(lo, hi + 1), kfib_window(k, lo, hi).values):
+        if v in (0, 1, -1):
+            trivial.append((n, v))
+            continue
+        av = abs(v)
+        if av < 4:
+            continue
+        for q in range(av.bit_length() - 1, 1, -1):
+            if v < 0 and q % 2 == 0:
+                continue
+            r, exact = _iroot(av, q)
+            if exact and r >= 2:
+                nontrivial.append((n, r if v > 0 else -r, q))
+                break
+    return tuple(nontrivial), tuple(trivial)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_power_scan_matches_descending_exponent_reference(k):
+    ps = power_scan(k, -300, 300)
+    assert (ps.nontrivial, ps.trivial) == _power_scan_reference(k, -300, 300)
+
+
+def test_max_power_synthetic_values():
+    # composite maximal exponents
+    assert _max_power(3**10) == (3, 10)
+    assert _max_power(6**6) == (6, 6)
+    assert _max_power(2**12) == (2, 12)
+    assert _max_power(7**2 * 11**3) == (7**2 * 11**3, 1)
+    # a negative value keeps the odd part of the exponent of its modulus
+    assert _max_power(-2**4) == (-16, 1)
+    assert _max_power(-2**6) == (-4, 3)
+    assert _max_power(-2**12) == (-16, 3)
+    assert _max_power(-3**15) == (-3, 15)
+    for v in (2, 3, -2, -3, 6, -12):
+        assert _max_power(v) == (v, 1)
+
+
+def test_residue_sieve_never_rejects_a_power():
+    for p in _primes_below(98):
+        for y in (2, 3, 5, 7, 13, 29, 10**6 + 3, 2**61 - 1, 3 * 5 * 7 * 11 * 13):
+            assert _may_be_power(y**p, p), (y, p)
 
 
 def test_negative_pair_bounds(profile4):
