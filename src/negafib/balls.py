@@ -59,10 +59,6 @@ class PrecisionError(ArithmeticError):
     ``MAX_PREC``) and try again.
     """
 
-    def __init__(self, message, achieved_radius=None):
-        super().__init__(message)
-        self.achieved_radius = achieved_radius
-
 
 class CertificationError(ArithmeticError):
     """A certificate failed for a reason more precision cannot fix."""
@@ -73,12 +69,6 @@ def _mpf_to_fraction(x):
         raise OverflowError("interval endpoint is infinite")
     p, q = to_rational(x)
     return Fraction(int(p), int(q))
-
-
-def _fraction_to_endpoints(fr: Fraction, prec: int):
-    p, q = fr.numerator, fr.denominator
-    return (from_rational(p, q, prec, round_floor),
-            from_rational(p, q, prec, round_ceiling))
 
 
 class RBall:
@@ -99,8 +89,7 @@ class RBall:
 
     @classmethod
     def from_fraction(cls, fr, prec: int = DEFAULT_PREC) -> "RBall":
-        fr = Fraction(fr)
-        return cls(_fraction_to_endpoints(fr, prec), prec)
+        return cls.from_endpoints(fr, fr, prec)
 
     @classmethod
     def from_decimal(cls, s: str, prec: int = DEFAULT_PREC) -> "RBall":
@@ -165,10 +154,6 @@ class RBall:
         other = _coerce(other, self.prec)
         return mpf_cmp(self.v[0], other.v[1]) > 0
 
-    def le(self, other) -> bool:
-        other = _coerce(other, self.prec)
-        return mpf_cmp(self.v[1], other.v[0]) <= 0
-
     def ge(self, other) -> bool:
         other = _coerce(other, self.prec)
         return mpf_cmp(self.v[0], other.v[1]) >= 0
@@ -199,8 +184,7 @@ class RBall:
     def __truediv__(self, other):
         other = _coerce(other, self.prec)
         if other.contains_zero():
-            raise PrecisionError("division by an interval containing zero",
-                                 achieved_radius=other.rad())
+            raise PrecisionError("division by an interval containing zero")
         p = max(self.prec, other.prec)
         return RBall(mpi_div(self.v, other.v, p), p)
 
@@ -391,33 +375,26 @@ def _coerce_c(x, prec) -> CBall:
     return CBall.from_real(_coerce(x, prec))
 
 
-def ball_to_json(b: RBall, digits: int = 30) -> dict:
+def ball_to_json(b: RBall) -> dict:
     """Decimal-facing serialization plus exact endpoint encodings.
 
-    The exact fields make cache round-trips bit-identical; the decimal
-    fields are for human and downstream-tool consumption.
+    The exact fields make cache round-trips bit-identical; the 30-digit
+    decimal fields are for human and downstream-tool consumption.
     """
     return {
-        "mid": b.mid_str(digits),
-        "radius_exp": b.radius_exp(digits),
+        "mid": b.mid_str(),
+        "radius_exp": b.radius_exp(),
         "exact_lo": _mpf_encode(b.v[0]),
         "exact_hi": _mpf_encode(b.v[1]),
     }
 
 
 def ball_from_json(doc: dict, prec: int) -> RBall:
-    if "exact_lo" in doc and "exact_hi" in doc:
-        return RBall((_mpf_decode(doc["exact_lo"]),
-                      _mpf_decode(doc["exact_hi"])), prec)
-    mid = Fraction(doc["mid"])
-    e = doc.get("radius_exp")
-    rad = Fraction(0) if e is None else Fraction(10) ** e
-    return RBall.from_midrad(mid, rad, prec)
+    return RBall((_mpf_decode(doc["exact_lo"]), _mpf_decode(doc["exact_hi"])), prec)
 
 
-def cball_to_json(z: CBall, digits: int = 30) -> dict:
-    return {"re": ball_to_json(z.real(), digits),
-            "im": ball_to_json(z.imag(), digits)}
+def cball_to_json(z: CBall) -> dict:
+    return {"re": ball_to_json(z.real()), "im": ball_to_json(z.imag())}
 
 
 def cball_from_json(doc: dict, prec: int) -> CBall:

@@ -44,13 +44,12 @@ PROFILE_DOC_VERSION = 1
 
 @dataclass(frozen=True)
 class FamilyPolys:
-    """T_k, f_k = T_k (x-1), the index-reversal x^k T_k(1/x), and for even k
-    the trinomial x^(k+1) - 2x - 1 whose root in (1,2) is -1/alpha_kk."""
+    """T_k, f_k = T_k (x-1), and for even k the trinomial x^(k+1) - 2x - 1
+    whose root in (1,2) is -1/alpha_kk."""
 
     k: int
     T: IntPoly
     f: IntPoly
-    reversed: IntPoly
     aux: IntPoly | None
 
 
@@ -67,11 +66,10 @@ def family_polys(k: int) -> FamilyPolys:
     expected_f = IntPoly(tuple([1] + [0] * (k - 1) + [-2, 1]))
     if f != expected_f:
         raise CertificationError("T_k (x-1) failed the closed-form check")
-    rev = IntPoly(tuple([1] + [-1] * k))
     aux = None
     if k % 2 == 0:
         aux = IntPoly(tuple([-1, -2] + [0] * (k - 1) + [1]))
-    return FamilyPolys(k=k, T=T, f=f, reversed=rev, aux=aux)
+    return FamilyPolys(k=k, T=T, f=f, aux=aux)
 
 
 def dresden_weight(k: int, x):
@@ -82,10 +80,6 @@ def dresden_weight(k: int, x):
 # ---------------------------------------------------------------------------
 # certified root finding for a general integer polynomial
 # ---------------------------------------------------------------------------
-
-def _point_rball(m, prec) -> RBall:
-    return RBall((m, m), prec)
-
 
 def _point_cball(re_mpf, im_mpf, prec) -> CBall:
     return CBall((( re_mpf, re_mpf), (im_mpf, im_mpf)), prec)
@@ -305,12 +299,11 @@ _profile_cache: dict = {}
 _profile_lock = threading.Lock()
 
 
-def compute_roots(k: int, prec: int = DEFAULT_PREC, retry: bool = True) -> RootProfile:
+def compute_roots(k: int, prec: int = DEFAULT_PREC) -> RootProfile:
     """Certified RootProfile for T_k.
 
-    With retry=True (default) the precision is doubled on certification
-    failure up to MAX_PREC, after which a hard CertificationError is raised.
-    With retry=False a failure raises a retryable PrecisionError.
+    The precision is doubled on certification failure up to MAX_PREC, after
+    which a hard CertificationError is raised.
     """
     k = int(k)
     if k < 2:
@@ -325,8 +318,6 @@ def compute_roots(k: int, prec: int = DEFAULT_PREC, retry: bool = True) -> RootP
             profile = _build_profile(k, p)
             break
         except PrecisionError:
-            if not retry:
-                raise
             if 2 * p > MAX_PREC:
                 raise CertificationError(
                     f"root certification for k={k} failed up to {MAX_PREC} bits")
@@ -369,10 +360,7 @@ def smallest_root_check(k: int, prec: int = DEFAULT_PREC) -> SmallestRootCertifi
     lo, hi = 1.0, 2.0
     for _ in range(64):
         mid = (lo + hi) / 2
-        v = 0.0
-        for c in reversed(aux.coeffs):
-            v = v * mid + c
-        if v < 0:
+        if aux(mid) < 0:
             lo = mid
         else:
             hi = mid

@@ -20,6 +20,7 @@ from pathlib import Path
 from .balls import (
     CertificationError,
     DEFAULT_PREC,
+    MAX_PREC,
     PrecisionError,
     RBall,
 )
@@ -42,7 +43,7 @@ from .solvers import (
     repeats_scan,
 )
 
-MIN_PREC, MAX_PREC_CLI = 64, 4096
+MIN_PREC = 64
 
 
 class UsageError(ValueError):
@@ -98,14 +99,32 @@ def _decimal_ball(value, prec: int, exact: bool) -> RBall:
     return RBall.from_midrad(frac, ulp, prec)
 
 
-def _load_json(path: str):
+def _json_int(value) -> int:
+    """An integer field of an input document: an int, a number without a
+    fractional part, or an integer string.  Booleans are refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise UsageError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def _json_flag(doc: dict, key: str, default: bool) -> bool:
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise UsageError(f"'{key}' must be true or false, got {json.dumps(value)}")
+    return value
+
+
+def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError as exc:
         raise UsageError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise UsageError(f"{path} must hold a JSON object")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +205,10 @@ def _cmd_order_check(args, prec, cache_dir):
 
 def _cmd_height(args, prec, cache_dir):
     doc = _load_json(args.polyfile)
-    if not isinstance(doc, dict) or "coeffs" not in doc:
+    if "coeffs" not in doc:
         raise UsageError("poly file needs a 'coeffs' list, lowest degree first")
     try:
-        poly = IntPoly(tuple(int(c) for c in doc["coeffs"]))
+        poly = IntPoly(tuple(_json_int(c) for c in doc["coeffs"]))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad coefficients: {exc}") from exc
     res = weil_height(poly, prec)
@@ -207,9 +226,9 @@ def _cmd_matveev(args, prec, cache_dir):
         log_floors = tuple(_decimal_ball(v, prec, exact=True)
                            for v in doc.get("log_gamma_abs", ()))
         inst = MatveevInstance(
-            t=int(doc["t"]),
-            D=int(doc["D"]),
-            B=_decimal_ball(doc["B"], prec, exact=bool(doc.get("exact", True))),
+            t=_json_int(doc["t"]),
+            D=_json_int(doc["D"]),
+            B=_decimal_ball(doc["B"], prec, exact=_json_flag(doc, "exact", True)),
             A=tuple(Fraction(str(a)) for a in doc["A"]),
             log_gamma_abs=log_floors,
         )
@@ -225,21 +244,21 @@ def _cmd_matveev(args, prec, cache_dir):
 
 def _cmd_reduce(args, prec, cache_dir):
     doc = _load_json(args.instance)
-    exact = bool(doc.get("exact", False))
+    exact = _json_flag(doc, "exact", False)
     try:
         inst = BDInstance(
             kappa=_decimal_ball(doc["kappa"], prec, exact=exact),
             mu=_decimal_ball(doc["mu"], prec, exact=exact),
             A=_decimal_ball(doc["A"], prec, exact=True),
             B=_decimal_ball(doc["B"], prec, exact=True),
-            M=int(doc["M"]),
+            M=_json_int(doc["M"]),
         )
         inst.validate()
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, UsageError):
             raise
         raise UsageError(f"bad instance: {exc}") from exc
-    min_q = int(doc["min_q_first"]) if "min_q_first" in doc else None
+    min_q = _json_int(doc["min_q_first"]) if "min_q_first" in doc else None
     trace = bd_iterate(inst, prec, min_q_first=min_q)
     payload = {"trace": [_outcome_out(o) for o in trace]}
     rows = [["M", "q", "epsilon_lower", "new_bound", "status"]]
@@ -416,17 +435,14 @@ def run(argv, out=None, err=None) -> int:
         if prec is None:
             env = os.environ.get("NEGAFIB_PRECISION_BITS")
             prec = int(env) if env else DEFAULT_PREC
-        if not (MIN_PREC <= prec <= MAX_PREC_CLI):
-            raise UsageError(f"precision must be in [{MIN_PREC}, {MAX_PREC_CLI}]")
+        if not (MIN_PREC <= prec <= MAX_PREC):
+            raise UsageError(f"precision must be in [{MIN_PREC}, {MAX_PREC}]")
         cache_dir = args.cache_dir
         if cache_dir is None:
             cache_dir = os.environ.get("NEGAFIB_CACHE_DIR") or None
         payload, rows, text = args.fn(args, prec, cache_dir)
         _emit(payload, rows, text, args.format, out)
         return 0
-    except UsageError as exc:
-        err.write(f"error: {exc}\n")
-        return 3
     except (ValueError, TypeError, KeyError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 3

@@ -49,17 +49,3 @@ class IntPoly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __str__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(f"{c}")
-            elif i == 1:
-                terms.append(f"{c}*x" if abs(c) != 1 else ("x" if c > 0 else "-x"))
-            else:
-                terms.append(f"{c}*x^{i}" if abs(c) != 1 else (f"x^{i}" if c > 0 else f"-x^{i}"))
-        return " + ".join(reversed(terms)).replace("+ -", "- ") or "0"
-

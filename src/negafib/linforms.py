@@ -30,7 +30,6 @@ from .intpoly import IntPoly
 class HeightResult:
     value: RBall
     degree: int
-    poly: IntPoly
 
 
 def weil_height(poly: IntPoly, prec: int = DEFAULT_PREC) -> HeightResult:
@@ -40,7 +39,7 @@ def weil_height(poly: IntPoly, prec: int = DEFAULT_PREC) -> HeightResult:
     if poly.leading <= 0:
         raise ValueError("height needs a positive leading coefficient")
     value = _height_from_roots(poly.leading, certified_roots(poly, prec), prec)
-    return HeightResult(value=value, degree=poly.degree, poly=poly)
+    return HeightResult(value=value, degree=poly.degree)
 
 
 def _height_from_roots(leading: int, roots, prec: int) -> RBall:
@@ -117,7 +116,7 @@ def matveev_exponent(inst: MatveevInstance, prec: int = DEFAULT_PREC) -> RBall:
 # ---------------------------------------------------------------------------
 
 # 1 - delta for order 4 as printed, rounded to three decimals; the decay
-# slope and the reduction base B_red are built from it
+# slope is built from it
 PRINTED_ONE_MINUS_DELTA = "0.214"
 
 
@@ -126,8 +125,7 @@ class MixedSignInstance:
     """Everything the order-4 mixed-sign analysis feeds downstream.
 
     decay_slope/decay_intercept give |Lambda - 1| < exp(intercept + slope n);
-    kappa and mu are the reduction coordinates; B_red = |a4|^(-0.214) and
-    A_red = 9.65 / B_red are the reduction constants in the published chain.
+    kappa and mu are the reduction coordinates.
     """
 
     matveev: MatveevInstance
@@ -135,8 +133,6 @@ class MixedSignInstance:
     decay_intercept: RBall
     kappa: RBall
     mu: RBall
-    A_red: RBall
-    B_red: RBall
     checks: tuple = field(default_factory=tuple)
 
     @property
@@ -144,12 +140,10 @@ class MixedSignInstance:
         return all(ok for _name, ok in self.checks)
 
 
-def mixed_sign_instance(profile4: RootProfile, prec: int = DEFAULT_PREC,
-                        big_b: RBall | None = None) -> MixedSignInstance:
+def mixed_sign_instance(profile4: RootProfile, prec: int = DEFAULT_PREC) -> MixedSignInstance:
     """Assemble the t=3 instance from the certified order-4 root profile.
 
-    big_b defaults to 1 so matveev_exponent returns the coefficient of
-    (1 + log B); pass the actual B = |n| + 1 to get the full exponent.
+    Its B is 1, so matveev_exponent returns the coefficient of (1 + log B).
     """
     if profile4.k != 4:
         raise ValueError("needs the order-4 profile")
@@ -166,8 +160,6 @@ def mixed_sign_instance(profile4: RootProfile, prec: int = DEFAULT_PREC,
     intercept = (a4_abs / abs(g_a4)).log()
     kappa = neg_log_a4 / log_a1
     mu = -(gamma1_abs.log()) / log_a1
-    b_red = (RBall.from_decimal(PRINTED_ONE_MINUS_DELTA, prec) * neg_log_a4).exp()
-    a_red = RBall.from_decimal("9.65", prec) / b_red
 
     # A_i floors: A_1 covers the imported height bound 4 log 3 for
     # gamma_1 = +-g4(a1)/g4(a4); A_2 = A_3 cover D h = 12 h(T_4) and the
@@ -191,7 +183,7 @@ def mixed_sign_instance(profile4: RootProfile, prec: int = DEFAULT_PREC,
     inst = MatveevInstance(
         t=3,
         D=d_field,
-        B=big_b if big_b is not None else RBall.from_int(1, prec),
+        B=RBall.from_int(1, prec),
         A=(a_big, a_small, a_small),
         log_gamma_abs=(abs(gamma1_abs.log()), abs(log_a1), abs(a4_abs.log())),
     )
@@ -202,8 +194,6 @@ def mixed_sign_instance(profile4: RootProfile, prec: int = DEFAULT_PREC,
         decay_intercept=intercept,
         kappa=kappa,
         mu=mu,
-        A_red=a_red,
-        B_red=b_red,
         checks=checks,
     )
 
@@ -232,8 +222,8 @@ def deweger_factor(a: RBall) -> RBall:
     return -((one - a).log()) / a
 
 
-def crossing_bound(a, b, C, c0=0, prec: int = DEFAULT_PREC) -> int:
-    """Least N0 with a*N - b > C*log N + a*c0 for every integer N >= N0.
+def crossing_bound(a, b, C, prec: int = DEFAULT_PREC) -> int:
+    """Least N0 with a*N - b > C*log N for every integer N >= N0.
 
     Equivalently ceil of the largest real crossing of the two sides; 1 when
     the strict inequality already holds on all of [1, oo).  The left side
@@ -244,12 +234,11 @@ def crossing_bound(a, b, C, c0=0, prec: int = DEFAULT_PREC) -> int:
     a = _coerce(a, prec)
     b = _coerce(b, prec)
     C = _coerce(C, prec)
-    c0 = _coerce(c0, prec)
     if not (a.is_positive() and C.is_positive()):
         raise ValueError("need a > 0 and C > 0")
 
     def gap(n: int) -> RBall:
-        return a * n - b - C * RBall.from_int(n, prec).log() - a * c0
+        return a * n - b - C * RBall.from_int(n, prec).log()
 
     vertex = (C / a).upper()
     lo_probe = max(1, math.floor(vertex))

@@ -18,13 +18,13 @@ from fractions import Fraction
 from .balls import DEFAULT_PREC, PrecisionError, RBall
 
 MAX_QUOTIENTS = 100_000
+# bd_iterate stops after this many passes even if the bound still decreases
+MAX_PASSES = 32
 
 
 @dataclass(frozen=True)
 class CFExpansion:
-    x: RBall
     quotients: tuple
-    certified_count: int
     terminated: bool  # exact rational input, fully expanded
 
 
@@ -51,19 +51,18 @@ def cf_expand(x: RBall, want: int) -> CFExpansion:
         lo, hi = 1 / hi, 1 / lo
     if not quotients:
         raise PrecisionError("ball too wide to certify even one quotient")
-    return CFExpansion(x=x, quotients=tuple(quotients),
-                       certified_count=len(quotients), terminated=terminated)
+    return CFExpansion(quotients=tuple(quotients), terminated=terminated)
 
 
 def convergents(exp: CFExpansion) -> list:
     """(p_i, q_i) for the certified quotients; q strictly increases from i=1."""
-    if exp.certified_count < 1:
+    if not exp.quotients:
         raise ValueError("no certified quotients")
     out = []
     p_prev, q_prev = 1, 0
     p, q = exp.quotients[0], 1
     out.append((p, q))
-    for a in exp.quotients[1:exp.certified_count]:
+    for a in exp.quotients[1:]:
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
         out.append((p, q))
@@ -149,10 +148,10 @@ def _candidate_denominators(inst: BDInstance, min_q):
         cv = convergents(exp)
         cands = [q for _p, q in cv if q > inst.M and q >= floor_q]
         if cands:
-            return cands[:1 + EXTRA_CONVERGENTS], exp
+            return cands[:1 + EXTRA_CONVERGENTS]
         if exp.terminated:
-            return [cv[-1][1]], exp
-        if exp.certified_count < want or want >= MAX_QUOTIENTS:
+            return [cv[-1][1]]
+        if len(exp.quotients) < want or want >= MAX_QUOTIENTS:
             raise PrecisionError(
                 "cannot certify a convergent denominator exceeding M")
         want *= 2
@@ -168,7 +167,7 @@ def bd_reduce(inst: BDInstance, prec: int = DEFAULT_PREC,
     """
     inst.validate()
     m_bound = int(inst.M)
-    candidates, _exp = _candidate_denominators(inst, min_q)
+    candidates = _candidate_denominators(inst, min_q)
     last_eps = None
     for q in candidates:
         kq = inst.kappa * q
@@ -190,8 +189,7 @@ def bd_reduce(inst: BDInstance, prec: int = DEFAULT_PREC,
 
 
 def bd_iterate(inst: BDInstance, prec: int = DEFAULT_PREC,
-               min_q_first: int | None = None,
-               max_passes: int = 32) -> list:
+               min_q_first: int | None = None) -> list:
     """Repeat bd_reduce with M set to the previous bound until no decrease.
 
     min_q_first applies to the first pass only.
@@ -199,7 +197,7 @@ def bd_iterate(inst: BDInstance, prec: int = DEFAULT_PREC,
     trace = []
     current = inst
     min_q = min_q_first
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         outcome = bd_reduce(current, prec, min_q=min_q)
         min_q = None
         if outcome.status != "reduced":

@@ -139,8 +139,7 @@ def binet_eval(k: int, n: int, prec: int = DEFAULT_PREC) -> RBall:
     re = total.real()
     ball = RBall.from_endpoints(re.lower() - im_bound, re.upper() + im_bound, prec)
     if ball.rad() * 2 >= 1:
-        raise PrecisionError("enclosure too wide to pin an integer",
-                             achieved_radius=ball.rad())
+        raise PrecisionError("enclosure too wide to pin an integer")
     return ball
 
 

@@ -104,7 +104,7 @@ def test_criterion_05_matveev_coefficient():
 
 
 def test_criterion_06_crossing_bound():
-    n0 = crossing_bound("0.0546", "1.648", Fraction(284, 100) * 10**16, 0, PREC)
+    n0 = crossing_bound("0.0546", "1.648", Fraction(284, 100) * 10**16, PREC)
     printed = Fraction(232, 100) * 10**19
     rel = abs(Fraction(n0) - printed) / printed
     report(6, rel < Fraction(1, 100),

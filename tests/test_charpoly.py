@@ -26,7 +26,6 @@ def test_family_polys_small_orders():
     fam2 = family_polys(2)
     assert fam2.T.coeffs == (-1, -1, 1)
     assert fam2.f.coeffs == (1, 0, -2, 1)
-    assert fam2.reversed.coeffs == (1, -1, -1)
     assert fam2.aux.coeffs == (-1, -2, 0, 1)
     fam4 = family_polys(4)
     assert fam4.T.coeffs == (-1, -1, -1, -1, 1)

@@ -220,3 +220,49 @@ def test_matveev_log_floor_input(tmp_path):
         "t": 1, "D": 1, "B": 1, "A": ["2"], "log_gamma_abs": ["2.5"],
     }))
     assert invoke(["matveev", str(inst)])[0] == 3  # floor above A_1
+
+
+def test_instance_files_must_hold_an_object(tmp_path):
+    doc = tmp_path / "doc.json"
+    for text in ("[]", '"x"', "3", "null"):
+        doc.write_text(text)
+        for cmd in ("matveev", "reduce", "height"):
+            code, out, err = invoke([cmd, str(doc)])
+            assert (code, out) == (3, ""), (cmd, text)
+            assert "JSON object" in err
+
+
+def test_integer_fields_refuse_booleans_and_fractions(tmp_path):
+    doc = tmp_path / "doc.json"
+
+    def code_for(cmd, payload):
+        doc.write_text(json.dumps(payload))
+        return invoke([cmd, str(doc), "--format", "json"])[0]
+
+    assert code_for("height", {"coeffs": [-3, 2.7]}) == 3
+    assert code_for("height", {"coeffs": [True, 2]}) == 3
+    assert code_for("height", {"coeffs": [-3.0, 2]}) == 0  # no fractional part
+    matveev = {"t": 1, "D": 1, "B": 1, "A": ["0.16"]}
+    assert code_for("matveev", {**matveev, "t": 1.9}) == 3
+    assert code_for("matveev", {**matveev, "D": True}) == 3
+    reduce = {"kappa": "0.5", "mu": "0.25", "A": "5", "B": "1.5", "M": 10, "exact": True}
+    assert code_for("reduce", {**reduce, "M": 10.5}) == 3
+    assert code_for("reduce", {**reduce, "M": True}) == 3
+    assert code_for("reduce", {**reduce, "min_q_first": 2.5}) == 3
+    assert code_for("reduce", {**reduce, "min_q_first": False}) == 3
+    assert code_for("reduce", {**reduce, "M": "10"}) == 0  # schema allows strings
+
+
+def test_exact_flag_must_be_a_json_boolean(tmp_path):
+    doc = tmp_path / "doc.json"
+
+    def code_for(cmd, payload):
+        doc.write_text(json.dumps(payload))
+        return invoke([cmd, str(doc)])[0]
+
+    matveev = {"t": 1, "D": 1, "B": 1, "A": ["0.16"]}
+    assert code_for("matveev", {**matveev, "exact": True}) == 0
+    assert code_for("matveev", {**matveev, "exact": "no"}) == 3
+    reduce = {"kappa": "0.5", "mu": "0.25", "A": "5", "B": "1.5", "M": 10}
+    assert code_for("reduce", {**reduce, "exact": True}) == 0
+    assert code_for("reduce", {**reduce, "exact": 1}) == 3

@@ -107,8 +107,11 @@ def test_mixed_sign_instance_printed_anchors(profile4):
     assert ms.decay_intercept.upper() < Fraction("1.648")  # printed upper bound
     assert Fraction("0.3887") <= ms.kappa.mid() < Fraction("0.3888")
     assert abs(ms.mu.mid() + Fraction("2.03")) < Fraction("0.005")
-    assert abs(ms.B_red.mid() - Fraction("1.056")) < Fraction("0.001")
-    assert abs(ms.A_red.mid() - Fraction("9.14")) < Fraction("0.005")
+    # the printed reduction constants: B = |a4|^(-0.214) and A = 9.65 / B
+    b_red = abs(profile4.smallest_root()).pow(Fraction("-0.214"))
+    a_red = RBall.from_decimal("9.65", PREC) / b_red
+    assert abs(b_red.mid() - Fraction("1.056")) < Fraction("0.001")
+    assert abs(a_red.mid() - Fraction("9.14")) < Fraction("0.005")
     assert ms.all_checks_pass
     assert ms.matveev.t == 3 and ms.matveev.D == 12
     assert ms.matveev.A == (Fraction("52.74"), Fraction("2.736"), Fraction("2.736"))
@@ -164,21 +167,21 @@ def test_deweger_domain():
 
 
 def test_crossing_bound_examples():
-    assert crossing_bound(1, 0, 1, 0, 192) == 1
+    assert crossing_bound(1, 0, 1, 192) == 1
     # N = 10 log N crosses at 35.77...
-    assert crossing_bound(1, 0, 10, 0, 192) == 36
+    assert crossing_bound(1, 0, 10, 192) == 36
     printed = Fraction(232, 100) * 10**19
-    n0 = crossing_bound("0.0546", "1.648", Fraction(284, 100) * 10**16, 0, PREC)
+    n0 = crossing_bound("0.0546", "1.648", Fraction(284, 100) * 10**16, PREC)
     assert abs(Fraction(n0) - printed) / printed < Fraction(1, 100)
-    # same inequality in the divided-through form with the additive constant
-    n0b = crossing_bound(1, 0, Fraction("5.2015e17"), Fraction("30.1832"), PREC)
+    # same inequality in the divided-through form, N - 30.1832 > C log N
+    n0b = crossing_bound(1, Fraction("30.1832"), Fraction("5.2015e17"), PREC)
     assert abs(Fraction(n0b) - printed) / printed < Fraction(1, 100)
 
 
 def test_crossing_bound_certificate():
     from negafib.balls import RBall as _R
     a, b, c = 1, 0, 10
-    n0 = crossing_bound(a, b, c, 0, 192)
+    n0 = crossing_bound(a, b, c, 192)
     gap_at = lambda n: (_R.from_int(n, 192) - _R.from_int(c, 192)
                         * _R.from_int(n, 192).log())
     assert gap_at(n0).is_positive()
@@ -187,6 +190,6 @@ def test_crossing_bound_certificate():
 
 def test_crossing_bound_validation():
     with pytest.raises(ValueError):
-        crossing_bound(-1, 0, 1, 0, 128)
+        crossing_bound(-1, 0, 1, 128)
     with pytest.raises(ValueError):
-        crossing_bound(1, 0, 0, 0, 128)
+        crossing_bound(1, 0, 0, 128)

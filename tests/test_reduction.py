@@ -35,7 +35,7 @@ def test_cf_golden_ratio():
     phi = (1 + RBall.from_int(5, 128).sqrt()) / 2
     exp = cf_expand(phi, 20)
     assert exp.quotients == (1,) * 20
-    assert exp.certified_count == 20
+    assert len(exp.quotients) == 20
 
 
 def test_cf_sqrt2():
@@ -45,7 +45,7 @@ def test_cf_sqrt2():
 
 def test_cf_of_kappa_anchors(replay_instance):
     exp = cf_expand(replay_instance.kappa, 60)
-    assert exp.certified_count == 60
+    assert len(exp.quotients) == 60
     assert exp.quotients[:10] == (0, 2, 1, 1, 2, 1, 30, 6, 1, 10)
     qs = [q for _p, q in convergents(exp)]
     assert qs[7] == 3336
@@ -65,11 +65,9 @@ def test_cf_rational_terminates():
 
 
 def test_convergent_recurrences():
-    fib = CFExpansion(x=None, quotients=(1, 1, 1, 1, 1), certified_count=5,
-                      terminated=False)
+    fib = CFExpansion(quotients=(1, 1, 1, 1, 1), terminated=False)
     assert [q for _p, q in convergents(fib)] == [1, 1, 2, 3, 5]
-    quarters = CFExpansion(x=None, quotients=(0, 2, 2, 2), certified_count=4,
-                           terminated=True)
+    quarters = CFExpansion(quotients=(0, 2, 2, 2), terminated=True)
     assert convergents(quarters) == [(0, 1), (1, 2), (2, 5), (5, 12)]
     assert cf_value((0, 2, 2, 2)) == Fraction(5, 12)
 
