@@ -142,9 +142,6 @@ class RBall:
     def is_positive(self) -> bool:
         return mpf_cmp(self.v[0], fzero) > 0
 
-    def is_negative(self) -> bool:
-        return mpf_cmp(self.v[1], fzero) < 0
-
     def lt(self, other) -> bool:
         """Certified strict: every point of self < every point of other."""
         other = _coerce(other, self.prec)
@@ -220,11 +217,6 @@ class RBall:
         if e < 0 and self.contains_zero():
             raise PrecisionError("negative power of an interval containing zero")
         return RBall(mpi_pow_int(self.v, int(e), self.prec), self.prec)
-
-    def pow(self, exponent) -> "RBall":
-        """x**y for certified positive x, via exp(y*log x)."""
-        exponent = _coerce(exponent, self.prec)
-        return (self.log() * exponent).exp()
 
     # -- display ------------------------------------------------------------
 

@@ -429,11 +429,12 @@ def _sample_excluded_regions(case2: NegativePairBounds, bound: int) -> Certifica
     rng = random.Random(SAMPLE_SEED)
     # mixed tail: |n| in (bound, 5000], compare against the increasing branch
     # (F_2100 already exceeds every |F_n| with |n| <= 5000)
-    top = 2100
+    top, tail_lo = 2100, -5000
     pos_vals = kfib_window(4, 0, top).values
+    tail = kfib_window(4, tail_lo, -(bound + 1)).values
     for _ in range(100):
-        n = -rng.randint(bound + 1, 5000)
-        v = abs(kfib(4, n))
+        n = -rng.randint(bound + 1, -tail_lo)
+        v = abs(tail[n - tail_lo])
         m = bisect.bisect_left(pos_vals, v)  # first m with F_m >= v
         if m <= top and pos_vals[m] == v:
             return Certificate(name="sampled_exclusions", ok=False,

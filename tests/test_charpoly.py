@@ -73,7 +73,7 @@ def test_conjugate_closure_and_pair_ordering():
                    for other in p.roots)
     for i, j in p.conjugate_pairs():
         assert p.roots[i].imag().is_positive()
-        assert p.roots[j].imag().is_negative()
+        assert p.roots[j].imag().upper() < 0
         assert p.moduli[i] is p.moduli[j]
 
 

@@ -1,11 +1,19 @@
+import io
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from negafib import sequence
 from negafib.balls import RBall
+from negafib.cli import run
 from negafib.sequence import (
     _SeqCache,
+    _kfib_power,
+    _kfib_roll,
+    _window_bits,
     UnsupportedCaseError,
     WindowTooLargeError,
     binet_eval,
@@ -105,6 +113,88 @@ def test_fresh_cache_boundary(k):
     _assert_cache_matches_reference(cache)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 17, 25, 40])
+def test_both_routes_match_the_cache(k):
+    cache = _SeqCache(k)
+    cache.extend_to(-3001, 3001)
+    for n in (-k, -k + 1, 0, 1, 2, k + 1, k + 2, 997, -997, 3001, -3001):
+        assert _kfib_power(k, n) == cache.value(n), ("power", n)
+        assert _kfib_roll(k, n) == cache.value(n), ("roll", n)
+
+
+def test_route_choice_follows_the_cost_model():
+    # powering at small k or n < 0; rolling at large k and n > 0, where
+    # (k+1)^2 products of n-bit coefficients cost more than n subtractions
+    for k, n in ((2, 50000), (4, 13000), (4, 200000), (4, -36000), (64, -8000)):
+        assert sequence._power_is_cheaper(k, n), (k, n)
+    for k, n in ((40, 25000), (40, 200000), (64, 500), (4, 5)):
+        assert not sequence._power_is_cheaper(k, n), (k, n)
+
+
+def test_far_values_store_no_prefix(monkeypatch):
+    monkeypatch.setattr(sequence, "_caches", {})
+    tracemalloc.start()
+    try:
+        far = kfib(40, 25000), kfib(4, -36000)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sequence._caches == {}
+    assert peak < 1 << 20
+    # the other route gives the same values
+    assert far == (_kfib_power(40, 25000), _kfib_roll(4, -36000))
+
+
+def test_covered_index_reads_the_cache(monkeypatch):
+    monkeypatch.setattr(sequence, "_caches", {})
+    kfib_window(4, -10, 10)
+    calls = []
+
+    def counted(route):
+        def call(k, n):
+            calls.append(n)
+            return route(k, n)
+        return call
+
+    monkeypatch.setattr(sequence, "_kfib_power", counted(_kfib_power))
+    monkeypatch.setattr(sequence, "_kfib_roll", counted(_kfib_roll))
+    assert (kfib(4, 5), kfib(4, -10), kfib(4, 10)) == (8, 0, 208)
+    assert calls == []
+    assert kfib(4, 11) == kfib(4, 10) * 2 - kfib(4, 6)
+    assert calls == [11]
+    assert (sequence._caches[4].lo, sequence._caches[4].hi) == (-10, 10)
+
+
+def test_value_bits_stay_within_the_window_estimate():
+    # |F_n| < 2^(|n|+1), the per-value bound behind _window_bits
+    for k in range(2, 41):
+        cache = _SeqCache(k)
+        cache.extend_to(-6000, 3000)
+        for n, v in zip(range(cache.lo, cache.hi + 1), cache.vals):
+            assert abs(v).bit_length() <= abs(n) + 1, (k, n)
+    cache = _SeqCache(4)
+    cache.extend_to(-500, 700)
+    assert _window_bits(4, -500, 700) >= sum(abs(v).bit_length() for v in cache.vals)
+
+
+@pytest.mark.parametrize("argv", [["window", "4", "0", "1999999"],
+                                  ["powers", "4", "0", "400000"]])
+def test_oversized_window_is_refused_before_allocating(argv, monkeypatch):
+    monkeypatch.setattr(sequence, "_caches", {})
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = run(argv, out=out, err=err)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and "budget" in err.getvalue()
+    assert time.perf_counter() - start < 2
+    assert peak < 1 << 20
+    assert sequence._caches == {}
+
+
 def test_window_validates_args():
     with pytest.raises(ValueError):
         kfib_window(4, 5, 1)
@@ -137,7 +227,7 @@ def test_dominance_examples():
     # negative side against the printed envelope 0.92 |alpha_4|^(0.786 n)
     from negafib.charpoly import compute_roots
     a4_abs = abs(compute_roots(4, 256).smallest_root())
-    envelope = RBall.from_decimal("0.92", 256) * a4_abs.pow(Fraction("-23.58"))
+    envelope = RBall.from_decimal("0.92", 256) * (a4_abs.log() * Fraction("-23.58")).exp()
     assert dominance_residual(4, -30, 256).upper() < envelope.lower()
 
 
