@@ -4,6 +4,7 @@ lower bounds, Baker-Davenport reduction, and exhaustive equation solvers."""
 
 from .balls import CBall, CertificationError, DEFAULT_PREC, MAX_PREC, PrecisionError, RBall
 from .charpoly import (
+    DegreeTooLargeError,
     DominanceConstants,
     FamilyPolys,
     RootProfile,
@@ -40,6 +41,7 @@ from .reduction import (
 from .sequence import (
     SeqWindow,
     UnsupportedCaseError,
+    ValueTooLargeError,
     WindowTooLargeError,
     binet_eval,
     dominance_residual,
@@ -65,11 +67,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BDInstance", "CBall", "CFExpansion", "CertificationError", "DEFAULT_PREC",
+    "DegreeTooLargeError",
     "DominanceConstants", "FamilyPolys", "HeightResult", "IntPoly", "MAX_PREC",
     "MatchResult", "MatveevInstance", "MixedSignInstance", "NegativePairBounds",
     "PipelineReport", "PowerScanResult", "PrecisionError", "RBall",
     "ReductionOutcome", "RootProfile", "ScanResult", "SeqWindow",
-    "UnsupportedCaseError", "WindowTooLargeError", "bd_iterate", "bd_reduce",
+    "UnsupportedCaseError", "ValueTooLargeError", "WindowTooLargeError", "bd_iterate", "bd_reduce",
     "binet_eval", "cf_expand", "cf_value", "compute_roots",
     "convergents", "cross_k_monotonicity", "crossing_bound", "deweger_factor",
     "dominance_constants", "dominance_residual", "dresden_weight",

@@ -25,6 +25,7 @@ from mpmath.libmp import (
     round_ceiling,
     round_floor,
     round_nearest,
+    to_fixed,
     to_rational,
     to_str,
 )
@@ -289,9 +290,18 @@ class CBall:
         return cls.from_real(RBall.from_int(n, prec))
 
     @classmethod
-    def from_fractions(cls, re, im, prec: int = DEFAULT_PREC) -> "CBall":
-        return cls.from_re_im(RBall.from_fraction(re, prec),
-                              RBall.from_fraction(im, prec))
+    def from_fixed(cls, re: int, im: int | None, p: int, prec: int) -> "CBall":
+        """The point (re + i im) / 2^p exactly, from fixed-point values with
+        p fractional bits; im None stands for 0."""
+        x, y = from_man_exp(re, -p), from_man_exp(im or 0, -p)
+        return cls(((x, x), (y, y)), prec)
+
+    def mid_fixed(self, p: int) -> tuple:
+        """The midpoint in fixed point with p fractional bits (floored), as
+        (re, im); im is None when the imaginary midpoint is exactly 0."""
+        im = self.imag().mid_mpf()
+        return (to_fixed(self.real().mid_mpf(), p),
+                None if im == fzero else to_fixed(im, p))
 
     def real(self) -> RBall:
         return RBall(self.v[0], self.prec)

@@ -5,12 +5,15 @@ alpha_1 in (2(1 - 2^-k), 2) and k-1 roots inside the unit disc.  For even k
 the minimal-modulus root is real and negative, tied to the unique root
 lambda of x^(k+1) - 2x - 1 in (1, 2) through lambda * alpha_kk = -1.
 
-Root enclosures are produced by Newton refinement from double-precision
-eigenvalue estimates and then certified with a Krawczyk test in rectangle
-arithmetic: K(B) = c - Y f(c) + (1 - Y f'(B)) (B - c) with K(B) strictly
-inside B proves B contains exactly one simple root.  Rectangles centered on
-the real axis are self-conjugate, so uniqueness plus conjugation symmetry
-certifies realness.
+Root enclosures start from double-precision eigenvalue estimates.  Newton
+refinement and the Krawczyk preconditioner Y ~ 1/f'(c) prove nothing, so
+they are plain points from one fixed-point Horner pass
+(``IntPoly.eval_fixed``).  Only the Krawczyk image is rectangle arithmetic:
+K(B) = c - Y f(c) + (1 - Y f'(B)) (B - c) with K(B) strictly inside B
+proves B contains exactly one simple root, for any point Y.  Rectangles
+centered on the real axis are self-conjugate, so uniqueness plus
+conjugation symmetry certifies realness.  Orders and degrees above
+MAX_DEGREE are refused before any work.
 """
 
 from __future__ import annotations
@@ -36,6 +39,21 @@ from .balls import (
 from .intpoly import IntPoly
 
 PROFILE_DOC_VERSION = 1
+# Every order up to 61 certifies at 64 bits, the lowest precision the CLI
+# takes.  From 62 on, alpha_1 lies within about 2^-k of the bracket end
+# 2(1 - 2^-k), closer than a 64-bit enclosure separates, and the profile
+# check fails.  On a 2-vCPU Xeon, roots 60 takes 0.5 s at 384 bits and
+# 3.1 s at MAX_PREC, and order-check 60 takes 5.6 s at 384 bits.
+MAX_DEGREE = 60
+
+
+class DegreeTooLargeError(ValueError):
+    """Requested order or degree exceeds MAX_DEGREE."""
+
+
+def _check_degree(d: int) -> None:
+    if d > MAX_DEGREE:
+        raise DegreeTooLargeError(f"degree {d} is over the limit of {MAX_DEGREE}")
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +79,7 @@ def family_polys(k: int) -> FamilyPolys:
     k = int(k)
     if k < 2:
         raise ValueError("order k must be >= 2")
+    _check_degree(k)
     T = charpoly(k)
     f = T * IntPoly((-1, 1))
     expected_f = IntPoly(tuple([1] + [0] * (k - 1) + [-2, 1]))
@@ -81,53 +100,82 @@ def dresden_weight(k: int, x):
 # certified root finding for a general integer polynomial
 # ---------------------------------------------------------------------------
 
-def _point_cball(re_mpf, im_mpf, prec) -> CBall:
-    return CBall((( re_mpf, re_mpf), (im_mpf, im_mpf)), prec)
-
-
 def _cball_center(z: CBall) -> CBall:
-    return _point_cball(z.real().mid_mpf(), z.imag().mid_mpf(), z.prec)
+    re, im = z.real().mid_mpf(), z.imag().mid_mpf()
+    return CBall(((re, re), (im, im)), z.prec)
 
 
-def _abs_upper(z: CBall) -> Fraction:
-    return abs(z).upper()
+def _fixed_div(a_re, a_im, b_re, b_im, p):
+    """a / b in fixed point with p fractional bits, for b != 0.  Imaginary
+    parts are None on the real line."""
+    if b_im is None:
+        return (a_re << p) // b_re, None
+    den = b_re * b_re + b_im * b_im
+    return (((a_re * b_re + a_im * b_im) << p) // den,
+            ((a_im * b_re - a_re * b_im) << p) // den)
 
 
-def _newton_refine(poly: IntPoly, dpoly: IntPoly, z0: complex, prec: int,
+def _newton_refine(poly: IntPoly, z0: complex, prec: int,
                    force_real: bool) -> tuple[CBall, Fraction]:
-    """Polish a double-precision estimate; returns (point, last step size)."""
-    z = CBall.from_fractions(Fraction(float(z0.real)),
-                             Fraction(0) if force_real else Fraction(float(z0.imag)),
-                             prec)
-    tol = Fraction(1, 2 ** (prec + 16))
-    step_size = None
+    """Polish a double-precision estimate; returns (point, last step size).
+
+    Plain point arithmetic, since only the Krawczyk test that follows proves
+    anything.  Each step evaluates P and P' in one fixed-point Horner pass
+    (``IntPoly.eval_fixed``), with no imaginary part for a real seed.  The
+    precision starts where the double seed is exact (at least 53 fractional
+    bits, more for |z0| < 1) and doubles each step, as Newton's correct
+    bits do, up to prec + 16 bits.  There refinement stops once the step
+    falls to 2^-(prec+16) (1 + |z|), once it stops shrinking, or after 200
+    steps.  The step size is |Re| + |Im| of the last step.  A zero
+    derivative raises PrecisionError.
+    """
+    target = prec + 16
+    re0 = Fraction(z0.real)
+    im0 = None if force_real else Fraction(z0.imag)
+    seeds = [re0] if im0 is None else [re0, im0]
+    # a double is m / 2^e exactly, so e fractional bits hold it
+    p = min(target, max(53, *(x.denominator.bit_length() - 1 for x in seeds)))
+    re = (re0.numerator << p) // re0.denominator
+    im = None if im0 is None else (im0.numerator << p) // im0.denominator
+    size = None
     for _ in range(200):
-        dval = dpoly(z)
-        if dval.contains_zero():
-            raise PrecisionError("derivative enclosure contains zero during refinement")
-        step = poly(z) / dval
-        z_next = z - step
-        if force_real:
-            z = _point_cball(z_next.real().mid_mpf(), RBall.from_int(0, prec).v[0], prec)
-        else:
-            z = _cball_center(z_next)
-        prev_size, step_size = step_size, _abs_upper(step)
-        if step_size <= tol * (1 + _abs_upper(z)):
+        p_re, p_im, d_re, d_im = poly.eval_fixed(re, im, p)
+        if d_re == 0 and not d_im:
+            raise PrecisionError("derivative vanishes during refinement")
+        s_re, s_im = _fixed_div(p_re, p_im, d_re, d_im, p)
+        re -= s_re
+        if im is not None:
+            im -= s_im
+        prev, size = size, abs(s_re) + abs(s_im or 0)
+        if p < target:
+            shift = min(2 * p, target) - p
+            re, size, p = re << shift, size << shift, p + shift
+            if im is not None:
+                im <<= shift
+            continue
+        if size << p <= (1 << p) + abs(re) + abs(im or 0):
             break
         # the step has hit the rounding floor; Krawczyk certifies regardless
-        if prev_size is not None and step_size * 4 > prev_size:
+        if prev is not None and size * 4 > prev:
             break
-    return z, step_size
+    return CBall.from_fixed(re, im, p, prec), Fraction(size, 1 << p)
 
 
 def _krawczyk_once(poly: IntPoly, dpoly: IntPoly, box: CBall, prec: int) -> CBall | None:
     center = _cball_center(box)
-    dc = dpoly(center)
-    if dc.contains_zero():
+    # the preconditioner Y ~ 1/P'(center) may be any point: no ball needed
+    p = prec + 16
+    re, im = box.mid_fixed(p)
+    _, _, d_re, d_im = poly.eval_fixed(re, im, p)
+    if d_re == 0 and not d_im:
         return None
+    y_re, y_im = _fixed_div(1 << p, None if im is None else 0, d_re, d_im, p)
+    y = CBall.from_fixed(y_re, y_im, p, prec)
     one = CBall.from_int(1, prec)
-    y = _cball_center(one / dc)
-    k_img = center - y * poly(center) + (one - y * dpoly(box)) * (box - center)
+    # P(c) enclosed with 16 guard bits: its rounding then adds a fraction of
+    # an ulp to the image instead of several
+    fc = CBall(poly(CBall(center.v, prec + 16)).v, prec)
+    k_img = center - y * fc + (one - y * dpoly(box)) * (box - center)
     if k_img.strictly_inside(box):
         return k_img
     return None
@@ -174,6 +222,7 @@ def certified_roots(poly: IntPoly, prec: int = DEFAULT_PREC) -> list[CBall]:
     """
     if poly.degree < 1:
         raise ValueError("constant polynomial has no roots")
+    _check_degree(poly.degree)
     dpoly = poly.derivative()
     estimates = _initial_estimates(poly)
     scale = max(1.0, max(abs(e) for e in estimates))
@@ -183,10 +232,10 @@ def certified_roots(poly: IntPoly, prec: int = DEFAULT_PREC) -> list[CBall]:
         raise PrecisionError("could not split estimates into reals and conjugate pairs")
     balls: list[CBall] = []
     for est in real_est:
-        pt, step = _newton_refine(poly, dpoly, est, prec, force_real=True)
+        pt, step = _newton_refine(poly, est, prec, force_real=True)
         balls.append(_certify_root(poly, dpoly, pt, step, prec, force_real=True))
     for est in upper_est:
-        pt, step = _newton_refine(poly, dpoly, est, prec, force_real=False)
+        pt, step = _newton_refine(poly, est, prec, force_real=False)
         ball = _certify_root(poly, dpoly, pt, step, prec, force_real=False)
         if not ball.imag().is_positive():
             raise PrecisionError("imaginary part sign not certified")
@@ -364,7 +413,7 @@ def smallest_root_check(k: int, prec: int = DEFAULT_PREC) -> SmallestRootCertifi
             lo = mid
         else:
             hi = mid
-    pt, step = _newton_refine(aux, daux, complex((lo + hi) / 2, 0.0), prec, force_real=True)
+    pt, step = _newton_refine(aux, complex((lo + hi) / 2, 0.0), prec, force_real=True)
     lam_ball = _certify_root(aux, daux, pt, step, prec, force_real=True).real()
     if not (RBall.from_int(1, prec).lt(lam_ball) and lam_ball.lt(RBall.from_int(2, prec))):
         raise PrecisionError("lambda enclosure not inside (1,2)")
@@ -440,6 +489,7 @@ def cross_k_monotonicity(k_max: int, prec: int = DEFAULT_PREC) -> OrderReport:
     k_max = int(k_max)
     if k_max < 4 or k_max % 2 != 0:
         raise ValueError("k_max must be an even order >= 4")
+    _check_degree(k_max)
     assertions = []
     profiles = {k: compute_roots(k, prec) for k in range(2, k_max + 1)}
     even = [k for k in range(2, k_max + 1) if k % 2 == 0]

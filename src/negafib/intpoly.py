@@ -32,6 +32,29 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
+    def eval_fixed(self, re: int, im: int | None, p: int) -> tuple:
+        """Approximate P and P' at z = (re + i im) / 2^p in one Horner pass.
+
+        Fixed point over ints with p fractional bits, each product floored:
+        an approximation, not an enclosure (``__call__`` on a ball is the one
+        way to enclose).  Returns (P_re, P_im, dP_re, dP_im) at the same
+        scale; with im None the point is real and both imaginary parts are
+        None.
+        """
+        acc = d = 0
+        if im is None:
+            for c in reversed(self.coeffs):
+                d = (d * re >> p) + acc
+                acc = (acc * re >> p) + (c << p)
+            return acc, None, d, None
+        acc_im = d_im = 0
+        for c in reversed(self.coeffs):
+            d, d_im = (((d * re - d_im * im) >> p) + acc,
+                       ((d * im + d_im * re) >> p) + acc_im)
+            acc, acc_im = (((acc * re - acc_im * im) >> p) + (c << p),
+                           (acc * im + acc_im * re) >> p)
+        return acc, acc_im, d, d_im
+
     def derivative(self) -> "IntPoly":
         if self.degree == 0:
             raise ValueError("derivative of a constant is the zero polynomial")

@@ -21,6 +21,10 @@ from dataclasses import dataclass
 from .balls import DEFAULT_PREC, PrecisionError, RBall
 
 MAX_WINDOW_BITS = 2 ** 30
+# the slowest value kfib accepts at orders k <= 40, F_n at k = 40 and
+# n = -8832807 (powering), took 8.3 s on a 2-vCPU Xeon; n = 349999 (rolling)
+# took 4.9 s
+MAX_VALUE_BITS = 350_000
 
 
 class UnsupportedCaseError(ValueError):
@@ -29,6 +33,10 @@ class UnsupportedCaseError(ValueError):
 
 class WindowTooLargeError(ValueError):
     """Requested window exceeds the configured memory budget."""
+
+
+class ValueTooLargeError(ValueError):
+    """Requested value exceeds the configured size budget."""
 
 
 def _check_order(k: int) -> int:
@@ -168,8 +176,14 @@ def _power_is_cheaper(k: int, n: int) -> bool:
     return (k + 1) ** 2 * mul < 4 * abs(n) * d
 
 
+def _value_bits(k: int, n: int) -> int:
+    """Upper bound on the bits of |F_n|, in integer arithmetic for any n:
+    |n| + 1 for n > 0 and log2(3) |n| / k + 1 for n <= 0 (see _window_bits)."""
+    return n + 1 if n > 0 else 1585 * -n // (1000 * k) + 1
+
+
 def kfib(k: int, n: int) -> int:
-    """F_n^(k) for any integer n.
+    """F_n^(k) for any integer n whose value fits MAX_VALUE_BITS.
 
     Read from the per-order cache when it already covers n.  Otherwise F_n
     is computed alone, by powering x modulo f_k or by rolling k + 1 values,
@@ -181,6 +195,10 @@ def kfib(k: int, n: int) -> int:
         cache = _caches.get(k)
         if cache is not None and cache.lo <= n <= cache.hi:
             return cache.value(n)
+    bits = _value_bits(k, n)
+    if bits > MAX_VALUE_BITS:
+        raise ValueTooLargeError(
+            f"the value may need {bits} bits, over the budget of {MAX_VALUE_BITS}")
     if _power_is_cheaper(k, n):
         return _kfib_power(k, n)
     return _kfib_roll(k, n)
@@ -237,21 +255,27 @@ def kfib_window(k: int, lo: int, hi: int) -> SeqWindow:
 def binet_eval(k: int, n: int, prec: int = DEFAULT_PREC) -> RBall:
     """Certified enclosure of sum_l C_l alpha_l^(n-1).
 
-    The true value is the integer F_n^(k); the complex parts cancel, so the
-    result is the real projection with the imaginary residue folded into
-    the radius.  Raises PrecisionError if the enclosure cannot pin an
-    integer (radius >= 1/2).
+    The true value is the integer F_n^(k).  A real root contributes a real
+    term.  A conjugate pair contributes twice the real part of its
+    positive-imaginary member's term: the partner's box is the conjugate
+    box, holding the conjugate root, and g_k has real coefficients, so the
+    two terms are conjugate.  What remains imaginary is the residue of the
+    real roots' weights, folded into the radius.  Raises PrecisionError if
+    the enclosure cannot pin an integer (radius >= 1/2).
     """
     from .charpoly import compute_roots
 
     k = _check_order(k)
     profile = compute_roots(k, prec)
-    total = None
-    for root, weight in zip(profile.roots, profile.weights):
-        term = weight * root.pow_int(n - 1)
-        total = term if total is None else total + term
-    im_bound = max(abs(total.imag().lower()), abs(total.imag().upper()))
-    re = total.real()
+    re = im = RBall.from_int(0, prec)
+    for root, weight, real in zip(profile.roots, profile.weights, profile.real_flags):
+        if real:
+            power = root.real().pow_int(n - 1)
+            re = re + weight.real() * power
+            im = im + weight.imag() * power
+        elif root.imag().is_positive():
+            re = re + 2 * (weight * root.pow_int(n - 1)).real()
+    im_bound = max(abs(im.lower()), abs(im.upper()))
     ball = RBall.from_endpoints(re.lower() - im_bound, re.upper() + im_bound, prec)
     if ball.rad() * 2 >= 1:
         raise PrecisionError("enclosure too wide to pin an integer")

@@ -60,8 +60,12 @@ def test_real_power():
     assert (r * r).contains(2)
 
 
+def cball(re, im, prec):
+    return CBall.from_re_im(RBall.from_fraction(re, prec), RBall.from_fraction(im, prec))
+
+
 def test_complex_arithmetic():
-    z = CBall.from_fractions(Fraction(1, 3), Fraction(1, 2), 128)
+    z = cball(Fraction(1, 3), Fraction(1, 2), 128)
     sq = z * z.conj()
     assert sq.real().contains(Fraction(1, 9) + Fraction(1, 4))
     assert sq.imag().contains_zero()
@@ -71,14 +75,14 @@ def test_complex_arithmetic():
 
 
 def test_complex_division_guard():
-    z = CBall.from_fractions(Fraction(0), Fraction(0), 64)
+    z = cball(Fraction(0), Fraction(0), 64)
     with pytest.raises(PrecisionError):
         CBall.from_int(1, 64) / z
 
 
 def test_containment_and_disjoint_rectangles():
-    a = CBall.from_fractions(Fraction(1), Fraction(1), 64)
-    b = CBall.from_fractions(Fraction(3), Fraction(1), 64)
+    a = cball(Fraction(1), Fraction(1), 64)
+    b = cball(Fraction(3), Fraction(1), 64)
     assert a.disjoint(b)
     assert not a.disjoint(a)
 
@@ -88,7 +92,7 @@ def test_json_roundtrip_is_exact():
     doc = ball_to_json(x)
     y = ball_from_json(doc, 192)
     assert y.lower() == x.lower() and y.upper() == x.upper()
-    z = CBall.from_fractions(Fraction(1, 7), Fraction(-3, 11), 192)
+    z = cball(Fraction(1, 7), Fraction(-3, 11), 192)
     zdoc = cball_to_json(z)
     z2 = cball_from_json(zdoc, 192)
     assert z2.real().lower() == z.real().lower()

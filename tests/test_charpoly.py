@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from negafib.balls import PrecisionError, RBall
+from negafib import charpoly as charpoly_module
+from negafib.balls import CBall, PrecisionError, RBall
 from negafib.charpoly import (
     _certify_root,
     _initial_estimates,
@@ -19,7 +20,9 @@ from negafib.charpoly import (
     profile_to_json,
     smallest_root_check,
 )
+from negafib.cli import MIN_PREC
 from negafib.intpoly import IntPoly
+from negafib.linforms import weil_height
 
 
 def test_family_polys_small_orders():
@@ -210,6 +213,62 @@ def test_newton_refinement_stops_at_the_rounding_floor(monkeypatch, k, prec):
     assert calls[0] <= 32 * k
 
 
+@pytest.mark.parametrize("k", (4, 10, 20, 40))
+def test_certified_roots_evaluate_few_balls(monkeypatch, k):
+    # Newton and the preconditioner run in fixed point; only P(c) and P'(box)
+    # of each Krawczyk pass are ball evaluations
+    calls = [0]
+    horner = IntPoly.__call__
+
+    def counted(self, x):
+        calls[0] += isinstance(x, (CBall, RBall))
+        return horner(self, x)
+
+    monkeypatch.setattr(IntPoly, "__call__", counted)
+    assert len(certified_roots(family_polys(k).T, 384)) == k
+    assert calls[0] <= 6 * k
+
+
+@pytest.mark.parametrize("prec", (64, 384, 1024))
+def test_newton_centre_lies_in_its_certified_box(monkeypatch, prec):
+    pairs = []
+    certify = charpoly_module._certify_root
+
+    def recorded(poly, dpoly, point, step, prec, force_real):
+        box = certify(poly, dpoly, point, step, prec, force_real)
+        pairs.append((point, box))
+        return box
+
+    monkeypatch.setattr(charpoly_module, "_certify_root", recorded)
+    bound = Fraction(1, 2 ** (prec - 16))
+    for k in range(2, 41):
+        pairs.clear()
+        # certifies at prec itself: compute_roots would need no doubling
+        certified_roots(family_polys(k).T, prec)
+        assert pairs
+        for point, box in pairs:
+            re, im = point.mid_fractions()
+            assert box.real().contains(re) and box.imag().contains(im), (k, prec)
+            assert box.real().rad() <= bound and box.imag().rad() <= bound, (k, prec)
+
+
+def test_height_roots_with_extreme_seeds():
+    # roots +-10^20 and +-10^-20: the seeds convert without float overflow and
+    # start Newton at enough fractional bits; both heights are 20 log 10
+    prec = 192
+    expected = RBall.from_int(10, prec).log() * 20
+    for poly in (IntPoly((-10**40, 0, 1)), IntPoly((-1, 0, 10**40))):
+        roots = certified_roots(poly, prec)
+        assert len(roots) == 2
+        assert weil_height(poly, prec).value.overlaps(expected)
+
+
+@pytest.mark.parametrize("force_real", (True, False))
+def test_newton_at_a_critical_point_raises_retryable(force_real):
+    with pytest.raises(PrecisionError):
+        _newton_refine(IntPoly((-2, 0, 1)), 0j, 128, force_real=force_real)
+
+
 def test_newton_stops_only_after_converging_from_a_poor_start():
     prec = 384
     T = family_polys(10).T
@@ -223,7 +282,7 @@ def test_newton_stops_only_after_converging_from_a_poor_start():
         ref = min(roots, key=lambda b: abs(complex(*map(float, b.mid_fractions())) - est))
         for turn in ((1, -1) if real else (1, 1j, -1, -1j)):
             start = complex(est) + 1e-3 * turn
-            point, step = _newton_refine(T, dT, start, prec, force_real=real)
+            point, step = _newton_refine(T, start, prec, force_real=real)
             ball = _certify_root(T, dT, point, step, prec, force_real=real)
             assert not ball.disjoint(ref), (est, turn)
             assert ball.real().rad() <= bound and ball.imag().rad() <= bound, (est, turn)
@@ -237,6 +296,11 @@ def test_root_enclosures_are_within_16_bits_of_precision():
         for root in compute_roots(k, prec).roots:
             assert root.real().rad() <= bound, (k, root)
             assert root.imag().rad() <= bound, (k, root)
+
+
+def test_every_order_up_to_the_cap_certifies_at_the_lowest_precision():
+    for k in range(2, charpoly_module.MAX_DEGREE + 1):
+        assert compute_roots(k, MIN_PREC).precision == MIN_PREC, k
 
 
 def test_certified_roots_cluster_raises_retryable():

@@ -1,9 +1,11 @@
 import io
 import json
+import time
 from importlib import resources
 
 import jsonschema
 
+from negafib.charpoly import MAX_DEGREE
 from negafib.cli import run
 
 
@@ -118,6 +120,18 @@ def test_height_subcommand(tmp_path):
     assert code == 3
     poly.write_text(json.dumps({"coeffs": "nope"}))
     assert invoke(["height", str(poly)])[0] == 3
+
+
+def test_orders_and_degrees_over_the_cap_exit_3_at_once(tmp_path):
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"coeffs": [-1] * (MAX_DEGREE + 1) + [1]}))
+    over = str(MAX_DEGREE + 2)  # even, for order-check
+    for argv in (["roots", over], ["constants", over], ["order-check", over],
+                 ["roots", "1" + "0" * 30], ["height", str(poly)]):
+        start = time.perf_counter()
+        code, _out, err = invoke(argv)
+        assert code == 3 and "limit" in err, argv
+        assert time.perf_counter() - start < 0.1, argv
 
 
 def test_matveev_subcommand(tmp_path):

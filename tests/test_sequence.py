@@ -13,6 +13,7 @@ from negafib.sequence import (
     _SeqCache,
     _kfib_power,
     _kfib_roll,
+    _value_bits,
     _window_bits,
     UnsupportedCaseError,
     WindowTooLargeError,
@@ -172,9 +173,36 @@ def test_value_bits_stay_within_the_window_estimate():
         cache.extend_to(-6000, 3000)
         for n, v in zip(range(cache.lo, cache.hi + 1), cache.vals):
             assert abs(v).bit_length() <= abs(n) + 1, (k, n)
+            assert abs(v).bit_length() <= _value_bits(k, n), (k, n)
     cache = _SeqCache(4)
     cache.extend_to(-500, 700)
     assert _window_bits(4, -500, 700) >= sum(abs(v).bit_length() for v in cache.vals)
+
+
+@pytest.mark.parametrize("argv", [["kfib", "4", "1" + "0" * 400],
+                                  ["kfib", "4", "-1" + "0" * 400],
+                                  ["kfib", "40", str(sequence.MAX_VALUE_BITS)],
+                                  ["kfib", "2", str(-2 * sequence.MAX_VALUE_BITS)]])
+def test_oversized_value_is_refused_before_any_work(argv, monkeypatch):
+    def untouched(*args):
+        raise AssertionError("work started on a refused value")
+
+    for name in ("_power_is_cheaper", "_kfib_power", "_kfib_roll"):
+        monkeypatch.setattr(sequence, name, untouched)
+    err = io.StringIO()
+    start = time.perf_counter()
+    code = run(argv, out=io.StringIO(), err=err)
+    assert code == 3 and "budget" in err.getvalue()
+    assert time.perf_counter() - start < 0.5
+
+
+def test_value_budget_admits_the_digit_limit_values():
+    # F_25000 at k = 40 is within budget; only printing it hits Python's
+    # 4300-digit int -> str limit
+    err = io.StringIO()
+    assert run(["kfib", "40", "25000"], out=io.StringIO(), err=err) == 3
+    assert "Exceeds the limit (4300 digits)" in err.getvalue()
+    assert _value_bits(40, 25000) * 10 < sequence.MAX_VALUE_BITS
 
 
 @pytest.mark.parametrize("argv", [["window", "4", "0", "1999999"],
@@ -210,6 +238,26 @@ def test_binet_matches_exact_values():
     assert b.rad() < Fraction(1, 10**10)
     assert binet_eval(2, 10, 256).contains(55)
     assert binet_eval(4, -12, 256).contains(-8)
+
+
+def test_binet_terms_match_the_full_sum():
+    # one term per real root and one per conjugate pair, against the sum over
+    # every root in rectangles that binet_eval used to form
+    from negafib.charpoly import compute_roots
+    prec = 384
+    for k in range(2, 13):
+        profile = compute_roots(k, prec)
+        for n in range(-200, 201):
+            b = binet_eval(k, n, prec)
+            assert b.contains(kfib(k, n)) and b.rad() < Fraction(1, 2), (k, n)
+            total = None
+            for root, weight in zip(profile.roots, profile.weights):
+                term = weight * root.pow_int(n - 1)
+                total = term if total is None else total + term
+            im_bound = max(abs(total.imag().lower()), abs(total.imag().upper()))
+            old = RBall.from_endpoints(total.real().lower() - im_bound,
+                                       total.real().upper() + im_bound, prec)
+            assert b.overlaps(old), (k, n)
 
 
 def test_binet_pins_a_unique_integer():
