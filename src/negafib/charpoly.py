@@ -5,7 +5,8 @@ alpha_1 in (2(1 - 2^-k), 2) and k-1 roots inside the unit disc.  For even k
 the minimal-modulus root is real and negative, tied to the unique root
 lambda of x^(k+1) - 2x - 1 in (1, 2) through lambda * alpha_kk = -1.
 
-Root enclosures start from double-precision eigenvalue estimates.  Newton
+Root enclosures start from double-precision estimates found by the
+Aberth-Ehrlich iteration in plain Python complex arithmetic.  Newton
 refinement and the Krawczyk preconditioner Y ~ 1/f'(c) prove nothing, so
 they are plain points from one fixed-point Horner pass
 (``IntPoly.eval_fixed``).  Only the Krawczyk image is rectangle arithmetic:
@@ -18,11 +19,11 @@ MAX_DEGREE are refused before any work.
 
 from __future__ import annotations
 
+import cmath
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .balls import (
     CBall,
@@ -45,6 +46,7 @@ PROFILE_DOC_VERSION = 1
 # check fails.  On a 2-vCPU Xeon, roots 60 takes 0.5 s at 384 bits and
 # 3.1 s at MAX_PREC, and order-check 60 takes 5.6 s at 384 bits.
 MAX_DEGREE = 60
+MAX_ABERTH_SWEEPS = 100
 
 
 class DegreeTooLargeError(ValueError):
@@ -206,9 +208,51 @@ def _certify_root(poly: IntPoly, dpoly: IntPoly, point: CBall, step_size: Fracti
     raise PrecisionError("Krawczyk certification failed at this precision")
 
 
-def _initial_estimates(poly: IntPoly):
+def _initial_estimates(poly: IntPoly) -> list[complex]:
+    """Double-precision estimates of all roots by the Aberth-Ehrlich
+    iteration (Aberth, Math. Comp. 1973; Bini, Numer. Algorithms 1996).
+
+    The estimates start on a circle whose radius is the Fujiwara bound on
+    the root moduli.  Each sweep moves every unconverged z by
+    N / (1 - N sum_j 1/(z - z_j)), N = P(z)/P'(z).  z is converged once
+    |P(z)| lies within the rounding bound of its Horner evaluation,
+    4 n 2^-53 sum |a_i| |z|^i.  A coefficient outside the double range
+    raises ValueError; a breakdown or no convergence within
+    MAX_ABERTH_SWEEPS raises PrecisionError.
+    """
+    if any(abs(c).bit_length() > 1023 for c in poly.coeffs):
+        raise ValueError("a coefficient is outside the double range (|c| >= 2^1023)")
+    n = poly.degree
     cs = [float(c) for c in reversed(poly.coeffs)]
-    return np.roots(cs)
+    mags = [abs(c) for c in cs]
+    radius = 2 * max((mags[i] / mags[0] / (2 if i == n else 1)) ** (1 / i)
+                     for i in range(1, n + 1))
+    zs = [cmath.rect(radius, 2 * math.pi * j / n + 0.4) for j in range(n)]
+    done = [False] * n
+    tol = 4 * n * 2.0 ** -53
+    try:
+        for _ in range(MAX_ABERTH_SWEEPS):
+            for j, z in enumerate(zs):
+                if done[j]:
+                    continue
+                p = dp = 0j
+                for c in cs:
+                    dp = dp * z + p
+                    p = p * z + c
+                r, bound = abs(z), 0.0
+                for m in mags:
+                    bound = bound * r + m
+                if math.isfinite(bound) and abs(p) <= tol * bound:
+                    done[j] = True
+                    continue
+                newton = p / dp
+                pull = sum(1 / (z - w) for i, w in enumerate(zs) if i != j)
+                zs[j] = z - newton / (1 - newton * pull)
+            if all(done):
+                return zs
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise PrecisionError("root estimates broke down") from exc
+    raise PrecisionError(f"root estimates did not converge in {MAX_ABERTH_SWEEPS} sweeps")
 
 
 def certified_roots(poly: IntPoly, prec: int = DEFAULT_PREC) -> list[CBall]:
@@ -223,11 +267,11 @@ def certified_roots(poly: IntPoly, prec: int = DEFAULT_PREC) -> list[CBall]:
     if poly.degree < 1:
         raise ValueError("constant polynomial has no roots")
     _check_degree(poly.degree)
-    dpoly = poly.derivative()
     estimates = _initial_estimates(poly)
+    dpoly = poly.derivative()
     scale = max(1.0, max(abs(e) for e in estimates))
-    real_est = [complex(e) for e in estimates if abs(e.imag) <= 1e-7 * scale]
-    upper_est = [complex(e) for e in estimates if e.imag > 1e-7 * scale]
+    real_est = [e for e in estimates if abs(e.imag) <= 1e-7 * scale]
+    upper_est = [e for e in estimates if e.imag > 1e-7 * scale]
     if len(real_est) + 2 * len(upper_est) != poly.degree:
         raise PrecisionError("could not split estimates into reals and conjugate pairs")
     balls: list[CBall] = []
@@ -405,21 +449,16 @@ def smallest_root_check(k: int, prec: int = DEFAULT_PREC) -> SmallestRootCertifi
     # exact sign change on (1, 2): aux(1) = -2, aux(2) = 2^(k+1) - 5
     if not (aux(1) < 0 < aux(2)):
         raise CertificationError("sign change on (1,2) missing")
-    # initial estimate by float bisection
-    lo, hi = 1.0, 2.0
-    for _ in range(64):
-        mid = (lo + hi) / 2
-        if aux(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    pt, step = _newton_refine(aux, complex((lo + hi) / 2, 0.0), prec, force_real=True)
+    profile = compute_roots(k, prec)
+    alpha_min = profile.smallest_root()
+    # Newton starts at -1/alpha_kk; the Krawczyk test on aux proves lambda
+    # whatever the seed
+    seed = complex(-1 / alpha_min.mid())
+    pt, step = _newton_refine(aux, seed, prec, force_real=True)
     lam_ball = _certify_root(aux, daux, pt, step, prec, force_real=True).real()
     if not (RBall.from_int(1, prec).lt(lam_ball) and lam_ball.lt(RBall.from_int(2, prec))):
         raise PrecisionError("lambda enclosure not inside (1,2)")
 
-    profile = compute_roots(k, prec)
-    alpha_min = profile.smallest_root()
     product = lam_ball * alpha_min
     strictly = all(profile.moduli[-1].lt(profile.moduli[i])
                    for i in range(k - 1) if profile.moduli[i] is not profile.moduli[-1])

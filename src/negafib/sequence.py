@@ -199,6 +199,14 @@ def kfib(k: int, n: int) -> int:
     if bits > MAX_VALUE_BITS:
         raise ValueTooLargeError(
             f"the value may need {bits} bits, over the budget of {MAX_VALUE_BITS}")
+    # either route holds at most 2k + 1 values of up to that size (powering
+    # squares k + 1 coefficients, rolling keeps k + 1), each with the
+    # overhead that _window_bits counts; this also keeps the float cost
+    # model below in range
+    if (2 * k + 1) * (bits + 512) > MAX_WINDOW_BITS:
+        raise ValueTooLargeError(
+            f"order {k} with values of up to {bits} bits needs a working set "
+            f"over the budget of {MAX_WINDOW_BITS} bits")
     if _power_is_cheaper(k, n):
         return _kfib_power(k, n)
     return _kfib_roll(k, n)

@@ -1,3 +1,4 @@
+import cmath
 import types
 from fractions import Fraction
 
@@ -55,7 +56,7 @@ def test_order2_profile_is_golden():
 
 def test_order4_profile_values():
     p = compute_roots(4, 256)
-    # derived by Newton refinement from companion-matrix estimates
+    # derived by Newton refinement from double-precision estimates
     assert abs(p.dominant_root().mid() - Fraction("1.9275619754829253")) < Fraction(1, 10**12)
     assert abs(p.smallest_root().mid() + Fraction("0.7748041132154339")) < Fraction(1, 10**12)
     assert abs(p.moduli[1].mid() - Fraction("0.8182760987795398")) < Fraction(1, 10**12)
@@ -312,6 +313,60 @@ def test_certified_roots_cluster_raises_retryable():
     # a 3.5e-6 gap is well inside reach
     q = IntPoly((-2, 0, 1)) * IntPoly((-(2 * 10**5 + 1), 0, 10**5))
     assert len(certified_roots(q, 192)) == 4
+
+
+def test_seeds_of_x_n_plus_1_match_its_roots():
+    # roots on the unit circle, real -1 for odd n, and starts near roots
+    for n in range(2, 61):
+        poly = IntPoly((1,) + (0,) * (n - 1) + (1,))
+        seeds = _initial_estimates(poly)
+        roots = [cmath.exp(1j * cmath.pi * (2 * j + 1) / n) for j in range(n)]
+        nearest = [min(range(n), key=lambda j: abs(z - roots[j])) for z in seeds]
+        assert sorted(nearest) == list(range(n)), n
+        assert all(abs(z - roots[j]) < 1e-12 for z, j in zip(seeds, nearest)), n
+        assert len(certified_roots(poly, 64)) == n
+
+
+def test_seeds_and_roots_with_a_zero_root():
+    poly = IntPoly((0, -2, 0, 1))
+    assert min(abs(z) for z in _initial_estimates(poly)) < 1e-12
+    roots = certified_roots(poly, 128)
+    assert sum(r.real().contains(0) for r in roots) == 1
+    sqrt2 = RBall.from_int(2, 128).sqrt()
+    assert any(r.real().overlaps(sqrt2) for r in roots)
+    assert any(r.real().overlaps(-sqrt2) for r in roots)
+
+
+def test_seeder_raises_retryable_at_its_sweep_cap(monkeypatch):
+    # a root near -2^600 overflows the double Horner pass and never converges
+    with pytest.raises(PrecisionError):
+        _initial_estimates(IntPoly((1, 2 ** 600, 1)))
+    monkeypatch.setattr(charpoly_module, "MAX_ABERTH_SWEEPS", 1)
+    with pytest.raises(PrecisionError):
+        _initial_estimates(charpoly(10))
+    with pytest.raises(PrecisionError):
+        certified_roots(charpoly(10), 128)
+
+
+def test_seeder_refuses_coefficients_outside_the_double_range():
+    with pytest.raises(ValueError):
+        _initial_estimates(IntPoly((-3, 2 ** 1023)))
+    assert len(_initial_estimates(IntPoly((-3, 2 ** 1023 - 1)))) == 1
+
+
+@pytest.mark.parametrize("k", (4, 12))
+def test_smallest_root_check_makes_no_float_evaluation(monkeypatch, k):
+    # lambda's Newton seed is -1/alpha_kk from the certified profile
+    floats = [0]
+    horner = IntPoly.__call__
+
+    def counted(self, x):
+        floats[0] += isinstance(x, float)
+        return horner(self, x)
+
+    monkeypatch.setattr(IntPoly, "__call__", counted)
+    assert smallest_root_check(k, 192).ok
+    assert floats[0] == 0
 
 
 def test_profile_serialization_roundtrip():

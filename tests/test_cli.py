@@ -1,10 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 
+import negafib
 from negafib.charpoly import MAX_DEGREE
 from negafib.cli import run
 
@@ -120,6 +125,21 @@ def test_height_subcommand(tmp_path):
     assert code == 3
     poly.write_text(json.dumps({"coeffs": "nope"}))
     assert invoke(["height", str(poly)])[0] == 3
+    # a coefficient past the double range is refused before any work
+    poly.write_text(json.dumps({"coeffs": [-3, 0, 10**400]}))
+    start = time.perf_counter()
+    code, _out, err = invoke(["height", str(poly)])
+    assert code == 3 and "double range" in err
+    assert time.perf_counter() - start < 0.1
+
+
+def test_import_leaves_numpy_out():
+    src = Path(negafib.__file__).resolve().parents[1]
+    probe = "import sys, negafib, negafib.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_orders_and_degrees_over_the_cap_exit_3_at_once(tmp_path):

@@ -182,7 +182,12 @@ def test_value_bits_stay_within_the_window_estimate():
 @pytest.mark.parametrize("argv", [["kfib", "4", "1" + "0" * 400],
                                   ["kfib", "4", "-1" + "0" * 400],
                                   ["kfib", "40", str(sequence.MAX_VALUE_BITS)],
-                                  ["kfib", "2", str(-2 * sequence.MAX_VALUE_BITS)]])
+                                  ["kfib", "2", str(-2 * sequence.MAX_VALUE_BITS)],
+                                  # small values at orders whose working set of
+                                  # 2k + 1 values is over MAX_WINDOW_BITS
+                                  ["kfib", "1" + "0" * 200, "5"],
+                                  ["kfib", str(10**9), "5"],
+                                  ["kfib", str(10**9), "-5"]])
 def test_oversized_value_is_refused_before_any_work(argv, monkeypatch):
     def untouched(*args):
         raise AssertionError("work started on a refused value")
