@@ -290,18 +290,17 @@ class CBall:
         return cls.from_real(RBall.from_int(n, prec))
 
     @classmethod
-    def from_fixed(cls, re: int, im: int | None, p: int, prec: int) -> "CBall":
+    def from_fixed(cls, re: int, im: int, p: int, prec: int) -> "CBall":
         """The point (re + i im) / 2^p exactly, from fixed-point values with
-        p fractional bits; im None stands for 0."""
-        x, y = from_man_exp(re, -p), from_man_exp(im or 0, -p)
+        p fractional bits."""
+        x, y = from_man_exp(re, -p), from_man_exp(im, -p)
         return cls(((x, x), (y, y)), prec)
 
     def mid_fixed(self, p: int) -> tuple:
         """The midpoint in fixed point with p fractional bits (floored), as
-        (re, im); im is None when the imaginary midpoint is exactly 0."""
-        im = self.imag().mid_mpf()
+        (re, im)."""
         return (to_fixed(self.real().mid_mpf(), p),
-                None if im == fzero else to_fixed(im, p))
+                to_fixed(self.imag().mid_mpf(), p))
 
     def real(self) -> RBall:
         return RBall(self.v[0], self.prec)

@@ -42,8 +42,9 @@ from .intpoly import IntPoly
 PROFILE_DOC_VERSION = 1
 # Every order up to 61 certifies at 64 bits, the lowest precision the CLI
 # takes.  From 62 on, alpha_1 lies within about 2^-k of the bracket end
-# 2(1 - 2^-k), closer than a 64-bit enclosure separates, and the profile
-# check fails.  On a 2-vCPU Xeon, roots 60 takes 0.5 s at 384 bits and
+# 2(1 - 2^-k), closer than a 64-bit enclosure separates, so compute_roots
+# doubles the precision; orders 62-64 then certify at 128 bits.  The cap
+# bounds the time: on a 2-vCPU Xeon, roots 60 takes 0.5 s at 384 bits and
 # 3.1 s at MAX_PREC, and order-check 60 takes 5.6 s at 384 bits.
 MAX_DEGREE = 60
 MAX_ABERTH_SWEEPS = 100
@@ -108,10 +109,8 @@ def _cball_center(z: CBall) -> CBall:
 
 
 def _fixed_div(a_re, a_im, b_re, b_im, p):
-    """a / b in fixed point with p fractional bits, for b != 0.  Imaginary
-    parts are None on the real line."""
-    if b_im is None:
-        return (a_re << p) // b_re, None
+    """a / b in fixed point with p fractional bits, for b != 0.  On the real
+    line (a_im = b_im = 0) this is floor(a 2^p / b) with imaginary part 0."""
     den = b_re * b_re + b_im * b_im
     return (((a_re * b_re + a_im * b_im) << p) // den,
             ((a_im * b_re - a_re * b_im) << p) // den)
@@ -123,39 +122,33 @@ def _newton_refine(poly: IntPoly, z0: complex, prec: int,
 
     Plain point arithmetic, since only the Krawczyk test that follows proves
     anything.  Each step evaluates P and P' in one fixed-point Horner pass
-    (``IntPoly.eval_fixed``), with no imaginary part for a real seed.  The
-    precision starts where the double seed is exact (at least 53 fractional
-    bits, more for |z0| < 1) and doubles each step, as Newton's correct
-    bits do, up to prec + 16 bits.  There refinement stops once the step
-    falls to 2^-(prec+16) (1 + |z|), once it stops shrinking, or after 200
-    steps.  The step size is |Re| + |Im| of the last step.  A zero
-    derivative raises PrecisionError.
+    (``IntPoly.eval_fixed``).  force_real zeroes the seed's imaginary part;
+    on a real polynomial it then stays exactly 0.  The precision starts
+    where the double seed is exact (at least 53 fractional bits, more for
+    |z0| < 1) and doubles each step, as Newton's correct bits do, up to
+    prec + 16 bits.  There refinement stops once the step falls to
+    2^-(prec+16) (1 + |z|), once it stops shrinking, or after 200 steps.
+    The step size is |Re| + |Im| of the last step.  A zero derivative
+    raises PrecisionError.
     """
     target = prec + 16
-    re0 = Fraction(z0.real)
-    im0 = None if force_real else Fraction(z0.imag)
-    seeds = [re0] if im0 is None else [re0, im0]
+    seeds = (Fraction(z0.real), Fraction(0 if force_real else z0.imag))
     # a double is m / 2^e exactly, so e fractional bits hold it
     p = min(target, max(53, *(x.denominator.bit_length() - 1 for x in seeds)))
-    re = (re0.numerator << p) // re0.denominator
-    im = None if im0 is None else (im0.numerator << p) // im0.denominator
+    re, im = ((x.numerator << p) // x.denominator for x in seeds)
     size = None
     for _ in range(200):
         p_re, p_im, d_re, d_im = poly.eval_fixed(re, im, p)
-        if d_re == 0 and not d_im:
+        if d_re == 0 == d_im:
             raise PrecisionError("derivative vanishes during refinement")
         s_re, s_im = _fixed_div(p_re, p_im, d_re, d_im, p)
-        re -= s_re
-        if im is not None:
-            im -= s_im
-        prev, size = size, abs(s_re) + abs(s_im or 0)
+        re, im = re - s_re, im - s_im
+        prev, size = size, abs(s_re) + abs(s_im)
         if p < target:
             shift = min(2 * p, target) - p
-            re, size, p = re << shift, size << shift, p + shift
-            if im is not None:
-                im <<= shift
+            re, im, size, p = re << shift, im << shift, size << shift, p + shift
             continue
-        if size << p <= (1 << p) + abs(re) + abs(im or 0):
+        if size << p <= (1 << p) + abs(re) + abs(im):
             break
         # the step has hit the rounding floor; Krawczyk certifies regardless
         if prev is not None and size * 4 > prev:
@@ -164,14 +157,17 @@ def _newton_refine(poly: IntPoly, z0: complex, prec: int,
 
 
 def _krawczyk_once(poly: IntPoly, dpoly: IntPoly, box: CBall, prec: int) -> CBall | None:
+    """One Krawczyk step: the image K(box) when it lies strictly inside box,
+    else None.  A box centred on the real axis has a midpoint with
+    imaginary part 0, so the preconditioner is then real."""
     center = _cball_center(box)
     # the preconditioner Y ~ 1/P'(center) may be any point: no ball needed
     p = prec + 16
     re, im = box.mid_fixed(p)
     _, _, d_re, d_im = poly.eval_fixed(re, im, p)
-    if d_re == 0 and not d_im:
+    if d_re == 0 == d_im:
         return None
-    y_re, y_im = _fixed_div(1 << p, None if im is None else 0, d_re, d_im, p)
+    y_re, y_im = _fixed_div(1 << p, 0, d_re, d_im, p)
     y = CBall.from_fixed(y_re, y_im, p, prec)
     one = CBall.from_int(1, prec)
     # P(c) enclosed with 16 guard bits: its rounding then adds a fraction of
@@ -201,8 +197,7 @@ def _certify_root(poly: IntPoly, dpoly: IntPoly, point: CBall, step_size: Fracti
             if force_real:
                 # box is self-conjugate and holds exactly one root, which is
                 # therefore fixed by conjugation: real
-                zero = RBall.from_int(0, prec)
-                return CBall.from_re_im(result.real(), zero * zero)
+                return CBall.from_real(result.real())
             return result
         rad *= 64
     raise PrecisionError("Krawczyk certification failed at this precision")
@@ -349,7 +344,7 @@ def _build_profile(k: int, prec: int) -> RootProfile:
     real_flags = tuple(e["real"] for e in entries)
     weights = tuple(dresden_weight(k, r) for r in roots)
 
-    _check_profile_invariants(k, prec, fam.T, roots, moduli, real_flags, weights)
+    _check_profile_invariants(k, prec, fam.T, roots, real_flags, weights)
 
     separation = True
     for i in range(len(roots)):
@@ -363,7 +358,10 @@ def _build_profile(k: int, prec: int) -> RootProfile:
                        separation_certified=separation)
 
 
-def _check_profile_invariants(k, prec, T, roots, moduli, real_flags, weights):
+def _check_profile_invariants(k, prec, T, roots, real_flags, weights):
+    """Exact checks on a certified profile.  A dominant-root enclosure that
+    only overlaps an end of (2(1-2^-k), 2) raises the retryable
+    PrecisionError; any other failure raises CertificationError."""
     prod = CBall.from_int(1, prec)
     tot = CBall.from_int(0, prec)
     for r in roots:
@@ -380,9 +378,12 @@ def _check_profile_invariants(k, prec, T, roots, moduli, real_flags, weights):
     if not real_flags[0]:
         raise CertificationError("dominant root not certified real")
     dom = roots[0].real()
-    lo = 2 * (1 - Fraction(1, 2 ** k))
-    if not (RBall.from_fraction(lo, prec).lt(dom) and dom.lt(RBall.from_int(2, prec))):
+    lo = RBall.from_fraction(2 * (1 - Fraction(1, 2 ** k)), prec)
+    hi = RBall.from_int(2, prec)
+    if lo.ge(dom) or dom.ge(hi):
         raise CertificationError("dominant root outside (2(1-2^-k), 2)")
+    if not (lo.lt(dom) and dom.lt(hi)):
+        raise PrecisionError("dominant root enclosure overlaps an end of (2(1-2^-k), 2)")
     for w in weights:
         if w.contains_zero():
             raise CertificationError("a Dresden weight ball contains zero")
@@ -460,8 +461,7 @@ def smallest_root_check(k: int, prec: int = DEFAULT_PREC) -> SmallestRootCertifi
         raise PrecisionError("lambda enclosure not inside (1,2)")
 
     product = lam_ball * alpha_min
-    strictly = all(profile.moduli[-1].lt(profile.moduli[i])
-                   for i in range(k - 1) if profile.moduli[i] is not profile.moduli[-1])
+    strictly = all(profile.moduli[-1].lt(profile.moduli[i]) for i in range(k - 1))
     in_interval = (alpha_min.gt(RBall.from_int(-1, prec))
                    and alpha_min.lt(RBall.from_fraction(-Fraction(1, 3 ** k), prec)))
     return SmallestRootCertificate(

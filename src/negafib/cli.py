@@ -152,8 +152,8 @@ def _profile_with_cache(k, prec, cache_dir):
         if path.exists():
             doc = json.loads(path.read_text(encoding="utf-8"))
             profile = profile_from_json(doc)
-            # compute_roots may certify at a doubled precision
-            if profile.k == k and profile.precision >= prec:
+            # a profile at any other precision, doubled or edited, is recomputed
+            if profile.k == k and profile.precision == prec:
                 return profile
         profile = compute_roots(k, prec)
         path.parent.mkdir(parents=True, exist_ok=True)

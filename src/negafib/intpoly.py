@@ -32,22 +32,16 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def eval_fixed(self, re: int, im: int | None, p: int) -> tuple:
+    def eval_fixed(self, re: int, im: int, p: int) -> tuple:
         """Approximate P and P' at z = (re + i im) / 2^p in one Horner pass.
 
         Fixed point over ints with p fractional bits, each product floored:
         an approximation, not an enclosure (``__call__`` on a ball is the one
         way to enclose).  Returns (P_re, P_im, dP_re, dP_im) at the same
-        scale; with im None the point is real and both imaginary parts are
-        None.
+        scale.  At a real point (im = 0) every imaginary product is a product
+        with 0, so both imaginary parts come out exactly 0.
         """
-        acc = d = 0
-        if im is None:
-            for c in reversed(self.coeffs):
-                d = (d * re >> p) + acc
-                acc = (acc * re >> p) + (c << p)
-            return acc, None, d, None
-        acc_im = d_im = 0
+        acc = acc_im = d = d_im = 0
         for c in reversed(self.coeffs):
             d, d_im = (((d * re - d_im * im) >> p) + acc,
                        ((d * im + d_im * re) >> p) + acc_im)
@@ -66,9 +60,3 @@ class IntPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPoly(tuple(out))
-
-    def __eq__(self, other):
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)

@@ -141,9 +141,7 @@ def test_criterion_08_root_theorem_suite():
         small = profile.smallest_root()
         in_interval = (small.gt(RBall.from_int(-1, PREC))
                        and small.lt(RBall.from_fraction(-Fraction(1, 3**k), PREC)))
-        strictly = all(profile.moduli[-1].lt(profile.moduli[i])
-                       for i in range(k - 1)
-                       if profile.moduli[i] is not profile.moduli[-1])
+        strictly = all(profile.moduli[-1].lt(profile.moduli[i]) for i in range(k - 1))
         lam_product = (cert.lam * small).contains(-1)
         if not (cert.ok and in_interval and strictly and lam_product
                 and profile.real_flags[-1]):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from negafib import charpoly as charpoly_module
-from negafib.balls import CBall, PrecisionError, RBall
+from negafib.balls import CBall, CertificationError, PrecisionError, RBall
 from negafib.charpoly import (
     _certify_root,
     _initial_estimates,
@@ -302,6 +302,25 @@ def test_root_enclosures_are_within_16_bits_of_precision():
 def test_every_order_up_to_the_cap_certifies_at_the_lowest_precision():
     for k in range(2, charpoly_module.MAX_DEGREE + 1):
         assert compute_roots(k, MIN_PREC).precision == MIN_PREC, k
+
+
+def test_an_overlapped_dominant_bracket_doubles_the_precision(monkeypatch):
+    # from order 62 a 64-bit enclosure of alpha_1 overlaps the bracket end
+    # 2(1 - 2^-k): retryable, so compute_roots certifies at 128 bits
+    monkeypatch.setattr(charpoly_module, "MAX_DEGREE", 64)
+    monkeypatch.setattr(charpoly_module, "_profile_cache", {})
+    for k in (62, 63, 64):
+        with pytest.raises(PrecisionError):
+            charpoly_module._build_profile(k, 64)
+        assert compute_roots(k, 64).precision == 128, k
+
+
+def test_a_dominant_root_certainly_outside_its_bracket_is_final():
+    # alpha_1 of T_4 (about 1.928) lies below the order-6 bracket (1.969, 2)
+    p = compute_roots(4, 192)
+    with pytest.raises(CertificationError):
+        charpoly_module._check_profile_invariants(
+            6, 192, family_polys(4).T, p.roots, p.real_flags, p.weights)
 
 
 def test_certified_roots_cluster_raises_retryable():

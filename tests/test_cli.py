@@ -91,7 +91,7 @@ def test_roots_cache_transparency(tmp_path):
     assert cold == warm == plain
 
 
-def test_roots_cache_accepts_a_doubled_precision_profile(monkeypatch, tmp_path):
+def test_roots_cache_recomputes_a_doubled_precision_profile(monkeypatch, tmp_path):
     import negafib.cli as cli
 
     real, calls = cli.compute_roots, []
@@ -106,7 +106,18 @@ def test_roots_cache_accepts_a_doubled_precision_profile(monkeypatch, tmp_path):
     first = invoke(argv)
     second = invoke(argv)
     assert first == second and first[0] == 0
-    assert calls == [(4, 128)]
+    assert calls == [(4, 128), (4, 128)]
+
+
+def test_roots_cache_ignores_an_edited_precision(tmp_path):
+    argv = ["roots", "4", "--cache-dir", str(tmp_path), "--format", "json"]
+    cold = invoke(argv)
+    path = tmp_path / "roots_k4_p384.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["precision_bits"] = 4096
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert invoke(argv) == cold
+    assert json.loads(cold[1])["precision_bits"] == 384
 
 
 def test_determinism():
