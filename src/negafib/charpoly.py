@@ -23,6 +23,7 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .balls import (
@@ -295,8 +296,11 @@ def certified_roots(poly: IntPoly, prec: int = DEFAULT_PREC) -> list[CBall]:
 class RootProfile:
     """Roots of T_k ordered by certified nonincreasing modulus.
 
-    Conjugate pairs share one modulus ball (identical object) and are listed
-    positive-imaginary first.  weights[l] = g_k(roots[l]).
+    The box order is the only record of structure: a root is real when its
+    imaginary interval is exactly [0, 0], and a conjugate pair is a root
+    with positive imaginary part directly followed by its conjugate box.
+    Realness, pairs and separation are derived, not stored, so a cache
+    document supplies only boxes, weights g_k(roots[l]) and moduli |roots[l]|.
     """
 
     k: int
@@ -304,8 +308,6 @@ class RootProfile:
     roots: tuple
     weights: tuple
     moduli: tuple
-    real_flags: tuple
-    separation_certified: bool
 
     def dominant_root(self) -> RBall:
         return self.roots[0].real()
@@ -315,53 +317,43 @@ class RootProfile:
             raise ValueError("minimal-modulus root is real only for even order")
         return self.roots[-1].real()
 
+    @cached_property
+    def real_flags(self) -> tuple:
+        return tuple(r.imag().lower() == 0 == r.imag().upper() for r in self.roots)
+
     def conjugate_pairs(self) -> list:
-        seen = {}
-        pairs = []
-        for i, m in enumerate(self.moduli):
-            if id(m) in seen:
-                pairs.append((seen[id(m)], i))
-            else:
-                seen[id(m)] = i
-        return pairs
+        return [(i, i + 1) for i, (r, s) in enumerate(zip(self.roots, self.roots[1:]))
+                if r.imag().is_positive() and s.v == r.conj().v]
+
+    @cached_property
+    def separation_certified(self) -> bool:
+        """Moduli of non-conjugate roots are pairwise disjoint."""
+        pairs = set(self.conjugate_pairs())
+        m = self.moduli
+        return all(m[i].disjoint(m[j]) for i in range(len(m))
+                   for j in range(i + 1, len(m)) if (i, j) not in pairs)
 
 
 def _build_profile(k: int, prec: int) -> RootProfile:
     fam = family_polys(k)
-    balls = certified_roots(fam.T, prec)
-    entries = []
-    for ball in balls:
-        is_real = ball.imag().lower() == 0 == ball.imag().upper()
-        if is_real or ball.imag().is_positive():
-            modulus = abs(ball)
-        # otherwise ball is the conjugate of the root just before it, and the
-        # pair shares that root's modulus ball
-        entries.append({"root": ball, "real": is_real, "modulus": modulus})
-    entries.sort(key=lambda e: (-e["modulus"].mid(), -e["root"].imag().mid()))
-
-    roots = tuple(e["root"] for e in entries)
-    moduli = tuple(e["modulus"] for e in entries)
-    real_flags = tuple(e["real"] for e in entries)
+    # a conjugate box has the same modulus to the bit, so the sort keeps
+    # each pair together, positive-imaginary member first
+    entries = sorted(((abs(r), r) for r in certified_roots(fam.T, prec)),
+                     key=lambda e: (-e[0].mid(), -e[1].imag().mid()))
+    roots = tuple(r for _, r in entries)
     weights = tuple(dresden_weight(k, r) for r in roots)
-
-    _check_profile_invariants(k, prec, fam.T, roots, real_flags, weights)
-
-    separation = True
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if moduli[i] is moduli[j]:
-                continue
-            if not moduli[i].disjoint(moduli[j]):
-                separation = False
-    return RootProfile(k=k, precision=prec, roots=roots, weights=weights,
-                       moduli=moduli, real_flags=real_flags,
-                       separation_certified=separation)
+    profile = RootProfile(k=k, precision=prec, roots=roots, weights=weights,
+                          moduli=tuple(m for m, _ in entries))
+    _check_profile_invariants(profile, fam.T)
+    return profile
 
 
-def _check_profile_invariants(k, prec, T, roots, real_flags, weights):
-    """Exact checks on a certified profile.  A dominant-root enclosure that
-    only overlaps an end of (2(1-2^-k), 2) raises the retryable
-    PrecisionError; any other failure raises CertificationError."""
+def _check_profile_invariants(profile: RootProfile, T: IntPoly) -> None:
+    """Exact checks on a certified profile whose roots are those of T.  A
+    dominant-root enclosure that only overlaps an end of (2(1-2^-k), 2)
+    raises the retryable PrecisionError; any other failure raises
+    CertificationError."""
+    k, prec, roots = profile.k, profile.precision, profile.roots
     prod = CBall.from_int(1, prec)
     tot = CBall.from_int(0, prec)
     for r in roots:
@@ -375,7 +367,7 @@ def _check_profile_invariants(k, prec, T, roots, real_flags, weights):
         raise CertificationError("product of roots fails the constant-term check")
     if not (tot.real().contains(1) and tot.imag().contains_zero()):
         raise CertificationError("sum of roots fails the trace check")
-    if not real_flags[0]:
+    if not profile.real_flags[0]:
         raise CertificationError("dominant root not certified real")
     dom = roots[0].real()
     lo = RBall.from_fraction(2 * (1 - Fraction(1, 2 ** k)), prec)
@@ -384,7 +376,7 @@ def _check_profile_invariants(k, prec, T, roots, real_flags, weights):
         raise CertificationError("dominant root outside (2(1-2^-k), 2)")
     if not (lo.lt(dom) and dom.lt(hi)):
         raise PrecisionError("dominant root enclosure overlaps an end of (2(1-2^-k), 2)")
-    for w in weights:
+    for w in profile.weights:
         if w.contains_zero():
             raise CertificationError("a Dresden weight ball contains zero")
 
@@ -571,8 +563,7 @@ def cross_k_monotonicity(k_max: int, prec: int = DEFAULT_PREC) -> OrderReport:
 def profile_to_json(profile: RootProfile) -> dict:
     pair_of = {}
     for i, j in profile.conjugate_pairs():
-        pair_of[i] = j
-        pair_of[j] = i
+        pair_of.update({i: j, j: i})
     return {
         "version": PROFILE_DOC_VERSION,
         "k": profile.k,
@@ -590,19 +581,10 @@ def profile_from_json(doc: dict) -> RootProfile:
     if doc.get("version") != PROFILE_DOC_VERSION:
         raise ValueError("unsupported root profile document version")
     prec = int(doc["precision_bits"])
-    roots = tuple(cball_from_json(d, prec) for d in doc["roots"])
-    weights = tuple(cball_from_json(d, prec) for d in doc["weights"])
-    moduli = list(ball_from_json(d, prec) for d in doc["moduli"])
-    partner = doc["conjugate_partner"]
-    for i, j in enumerate(partner):
-        if j is not None and j > i:
-            moduli[j] = moduli[i]  # restore shared-object pairing
     return RootProfile(
         k=int(doc["k"]),
         precision=prec,
-        roots=roots,
-        weights=weights,
-        moduli=tuple(moduli),
-        real_flags=tuple(bool(b) for b in doc["real_flags"]),
-        separation_certified=bool(doc["separation_certified"]),
+        roots=tuple(cball_from_json(d, prec) for d in doc["roots"]),
+        weights=tuple(cball_from_json(d, prec) for d in doc["weights"]),
+        moduli=tuple(ball_from_json(d, prec) for d in doc["moduli"]),
     )

@@ -44,6 +44,9 @@ from .solvers import (
 )
 
 MIN_PREC = 64
+# Python caps an int's decimal digits at 4300 but not a decimal's exponent,
+# and Fraction("1e10000000") builds a 33-million-bit power of ten
+MAX_DECIMAL_EXPONENT = 4300
 
 
 class UsageError(ValueError):
@@ -75,6 +78,19 @@ def _parse_range(text: str) -> tuple:
     return lo, hi
 
 
+def _decimal_fraction(text: str) -> Fraction:
+    """A decimal string -> exact rational; its exponent must be at most
+    MAX_DECIMAL_EXPONENT in size."""
+    exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*$", text)
+    if exp and abs(int(exp.group(1))) > MAX_DECIMAL_EXPONENT:
+        raise UsageError(f"{text[:40]!r}: decimal exponent over the limit of "
+                         f"{MAX_DECIMAL_EXPONENT}")
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        raise UsageError(f"bad decimal {text!r}") from exc
+
+
 def _decimal_ball(value, prec: int, exact: bool) -> RBall:
     """Numeric JSON field -> ball.  Strings are decimals; with exact=False a
     string carries one trailing-digit ulp of uncertainty."""
@@ -86,10 +102,7 @@ def _decimal_ball(value, prec: int, exact: bool) -> RBall:
         value = repr(value)
     if not isinstance(value, str):
         raise UsageError(f"expected number or decimal string, got {type(value).__name__}")
-    try:
-        frac = Fraction(value)
-    except ValueError as exc:
-        raise UsageError(f"bad decimal {value!r}") from exc
+    frac = _decimal_fraction(value)
     if exact:
         return RBall.from_fraction(frac, prec)
     mantissa = value.lower().split("e")[0]
@@ -229,7 +242,7 @@ def _cmd_matveev(args, prec, cache_dir):
             t=_json_int(doc["t"]),
             D=_json_int(doc["D"]),
             B=_decimal_ball(doc["B"], prec, exact=_json_flag(doc, "exact", True)),
-            A=tuple(Fraction(str(a)) for a in doc["A"]),
+            A=tuple(_decimal_fraction(str(a)) for a in doc["A"]),
             log_gamma_abs=log_floors,
         )
         exponent = matveev_exponent(inst, prec)

@@ -1,5 +1,6 @@
 import cmath
 import types
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -75,10 +76,16 @@ def test_conjugate_closure_and_pair_ordering():
         assert any(root.conj().real().overlaps(other.real())
                    and root.conj().imag().overlaps(other.imag())
                    for other in p.roots)
-    for i, j in p.conjugate_pairs():
-        assert p.roots[i].imag().is_positive()
-        assert p.roots[j].imag().upper() < 0
-        assert p.moduli[i] is p.moduli[j]
+    # every pair is found from the box order, up to the degree cap
+    for p in (p, compute_roots(charpoly_module.MAX_DEGREE, 256)):
+        pairs = p.conjugate_pairs()
+        assert 2 * len(pairs) == p.real_flags.count(False) == p.k - 2 + p.k % 2
+        for i, j in pairs:
+            assert p.roots[i].imag().is_positive()
+            assert p.roots[j].imag().upper() < 0
+            assert p.roots[j].v == p.roots[i].conj().v
+            assert p.moduli[i].v == p.moduli[j].v
+        assert p.separation_certified
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -320,7 +327,7 @@ def test_a_dominant_root_certainly_outside_its_bracket_is_final():
     p = compute_roots(4, 192)
     with pytest.raises(CertificationError):
         charpoly_module._check_profile_invariants(
-            6, 192, family_polys(4).T, p.roots, p.real_flags, p.weights)
+            replace(p, k=6), family_polys(4).T)
 
 
 def test_certified_roots_cluster_raises_retryable():
