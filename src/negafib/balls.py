@@ -363,9 +363,6 @@ class CBall:
         return (self.real().disjoint(other.real())
                 or self.imag().disjoint(other.imag()))
 
-    def mid_fractions(self):
-        return (self.real().mid(), self.imag().mid())
-
     def __repr__(self):
         return f"CBall(re={self.real()!r}, im={self.imag()!r})"
 

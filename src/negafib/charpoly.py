@@ -117,23 +117,22 @@ def _fixed_div(a_re, a_im, b_re, b_im, p):
             ((a_im * b_re - a_re * b_im) << p) // den)
 
 
-def _newton_refine(poly: IntPoly, z0: complex, prec: int,
-                   force_real: bool) -> tuple[CBall, Fraction]:
-    """Polish a double-precision estimate; returns (point, last step size).
+def _newton_refine(poly: IntPoly, z0: complex, prec: int) -> tuple[int, int, int, int]:
+    """Polish a double-precision seed; returns (re, im, p, step), the point
+    (re + i im) / 2^p and |Re| + |Im| of the last step, p fractional bits.
 
     Plain point arithmetic, since only the Krawczyk test that follows proves
     anything.  Each step evaluates P and P' in one fixed-point Horner pass
-    (``IntPoly.eval_fixed``).  force_real zeroes the seed's imaginary part;
-    on a real polynomial it then stays exactly 0.  The precision starts
-    where the double seed is exact (at least 53 fractional bits, more for
-    |z0| < 1) and doubles each step, as Newton's correct bits do, up to
-    prec + 16 bits.  There refinement stops once the step falls to
-    2^-(prec+16) (1 + |z|), once it stops shrinking, or after 200 steps.
-    The step size is |Re| + |Im| of the last step.  A zero derivative
-    raises PrecisionError.
+    (``IntPoly.eval_fixed``).  A seed with imaginary part 0 stays exactly on
+    the real axis: on a real polynomial every imaginary part is then 0.  The
+    precision starts where the double seed is exact (at least 53 fractional
+    bits, more for |z0| < 1) and doubles each step, as Newton's correct
+    bits do, up to prec + 16 bits.  There refinement stops once the step
+    falls to 2^-(prec+16) (1 + |z|), once it stops shrinking, or after 200
+    steps.  A zero derivative raises PrecisionError.
     """
     target = prec + 16
-    seeds = (Fraction(z0.real), Fraction(0 if force_real else z0.imag))
+    seeds = (Fraction(z0.real), Fraction(z0.imag))
     # a double is m / 2^e exactly, so e fractional bits hold it
     p = min(target, max(53, *(x.denominator.bit_length() - 1 for x in seeds)))
     re, im = ((x.numerator << p) // x.denominator for x in seeds)
@@ -154,7 +153,7 @@ def _newton_refine(poly: IntPoly, z0: complex, prec: int,
         # the step has hit the rounding floor; Krawczyk certifies regardless
         if prev is not None and size * 4 > prev:
             break
-    return CBall.from_fixed(re, im, p, prec), Fraction(size, 1 << p)
+    return re, im, p, size
 
 
 def _krawczyk_once(poly: IntPoly, dpoly: IntPoly, box: CBall, prec: int) -> CBall | None:
@@ -180,26 +179,25 @@ def _krawczyk_once(poly: IntPoly, dpoly: IntPoly, box: CBall, prec: int) -> CBal
     return None
 
 
-def _certify_root(poly: IntPoly, dpoly: IntPoly, point: CBall, step_size: Fraction,
-                  prec: int, force_real: bool) -> CBall:
-    re_mid, im_mid = point.mid_fractions()
+def _certify_root(poly: IntPoly, z0: complex, prec: int) -> CBall:
+    """A box proved to hold exactly one root of poly, the one Newton reaches
+    from z0, or PrecisionError.  A real seed stays on the axis, so its box is
+    symmetric about it and the one root inside, fixed by conjugation, is
+    real: the box is then returned with imaginary part [0, 0]."""
+    re, im, p, step = _newton_refine(poly, z0, prec)
+    re_mid, im_mid, step = (Fraction(x, 1 << p) for x in (re, im, step))
     scale = 1 + abs(re_mid) + abs(im_mid)
-    rad = max(step_size * 16, scale / 2 ** (prec - 16), Fraction(1, 2 ** (2 * prec)))
+    rad = max(step * 16, scale / 2 ** (prec - 16), Fraction(1, 2 ** (2 * prec)))
+    dpoly = poly.derivative()
     for _ in range(10):
-        box = CBall.from_re_im(
-            RBall.from_midrad(re_mid, rad, prec),
-            RBall.from_midrad(Fraction(0) if force_real else im_mid, rad, prec),
-        )
+        box = CBall.from_re_im(RBall.from_midrad(re_mid, rad, prec),
+                               RBall.from_midrad(im_mid, rad, prec))
         k_img = _krawczyk_once(poly, dpoly, box, prec)
         if k_img is not None:
             # one extra contraction pass tightens the enclosure
             tighter = _krawczyk_once(poly, dpoly, k_img, prec)
             result = tighter if tighter is not None else k_img
-            if force_real:
-                # box is self-conjugate and holds exactly one root, which is
-                # therefore fixed by conjugation: real
-                return CBall.from_real(result.real())
-            return result
+            return CBall.from_real(result.real()) if im == 0 else result
         rad *= 64
     raise PrecisionError("Krawczyk certification failed at this precision")
 
@@ -264,19 +262,15 @@ def certified_roots(poly: IntPoly, prec: int = DEFAULT_PREC) -> list[CBall]:
         raise ValueError("constant polynomial has no roots")
     _check_degree(poly.degree)
     estimates = _initial_estimates(poly)
-    dpoly = poly.derivative()
     scale = max(1.0, max(abs(e) for e in estimates))
     real_est = [e for e in estimates if abs(e.imag) <= 1e-7 * scale]
     upper_est = [e for e in estimates if e.imag > 1e-7 * scale]
     if len(real_est) + 2 * len(upper_est) != poly.degree:
         raise PrecisionError("could not split estimates into reals and conjugate pairs")
-    balls: list[CBall] = []
-    for est in real_est:
-        pt, step = _newton_refine(poly, est, prec, force_real=True)
-        balls.append(_certify_root(poly, dpoly, pt, step, prec, force_real=True))
+    # a real estimate is put on the axis, where Newton keeps it
+    balls = [_certify_root(poly, complex(e.real), prec) for e in real_est]
     for est in upper_est:
-        pt, step = _newton_refine(poly, est, prec, force_real=False)
-        ball = _certify_root(poly, dpoly, pt, step, prec, force_real=False)
+        ball = _certify_root(poly, est, prec)
         if not ball.imag().is_positive():
             raise PrecisionError("imaginary part sign not certified")
         balls.append(ball)
@@ -438,17 +432,15 @@ def smallest_root_check(k: int, prec: int = DEFAULT_PREC) -> SmallestRootCertifi
     if k % 2 != 0:
         raise ValueError("defined for even order only")
     fam = family_polys(k)
-    aux, daux = fam.aux, fam.aux.derivative()
     # exact sign change on (1, 2): aux(1) = -2, aux(2) = 2^(k+1) - 5
-    if not (aux(1) < 0 < aux(2)):
+    if not (fam.aux(1) < 0 < fam.aux(2)):
         raise CertificationError("sign change on (1,2) missing")
     profile = compute_roots(k, prec)
     alpha_min = profile.smallest_root()
     # Newton starts at -1/alpha_kk; the Krawczyk test on aux proves lambda
     # whatever the seed
     seed = complex(-1 / alpha_min.mid())
-    pt, step = _newton_refine(aux, seed, prec, force_real=True)
-    lam_ball = _certify_root(aux, daux, pt, step, prec, force_real=True).real()
+    lam_ball = _certify_root(fam.aux, seed, prec).real()
     if not (RBall.from_int(1, prec).lt(lam_ball) and lam_ball.lt(RBall.from_int(2, prec))):
         raise PrecisionError("lambda enclosure not inside (1,2)")
 
@@ -580,9 +572,11 @@ def profile_to_json(profile: RootProfile) -> dict:
 def profile_from_json(doc: dict) -> RootProfile:
     if doc.get("version") != PROFILE_DOC_VERSION:
         raise ValueError("unsupported root profile document version")
-    prec = int(doc["precision_bits"])
+    k, prec = int(doc["k"]), int(doc["precision_bits"])
+    if any(len(doc[key]) != k for key in ("roots", "weights", "moduli")):
+        raise CertificationError(f"an order-{k} profile needs {k} roots, weights and moduli")
     return RootProfile(
-        k=int(doc["k"]),
+        k=k,
         precision=prec,
         roots=tuple(cball_from_json(d, prec) for d in doc["roots"]),
         weights=tuple(cball_from_json(d, prec) for d in doc["weights"]),

@@ -120,6 +120,13 @@ def _json_int(value) -> int:
     return int(value)
 
 
+def _json_list(value, key: str) -> list:
+    """An array field of an input document: a string or object is refused."""
+    if not isinstance(value, list):
+        raise UsageError(f"'{key}' must be a JSON array, got {json.dumps(value)}")
+    return value
+
+
 def _json_flag(doc: dict, key: str, default: bool) -> bool:
     value = doc.get(key, default)
     if not isinstance(value, bool):
@@ -221,7 +228,7 @@ def _cmd_height(args, prec, cache_dir):
     if "coeffs" not in doc:
         raise UsageError("poly file needs a 'coeffs' list, lowest degree first")
     try:
-        poly = IntPoly(tuple(_json_int(c) for c in doc["coeffs"]))
+        poly = IntPoly(tuple(_json_int(c) for c in _json_list(doc["coeffs"], "coeffs")))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad coefficients: {exc}") from exc
     res = weil_height(poly, prec)
@@ -237,12 +244,12 @@ def _cmd_matveev(args, prec, cache_dir):
     doc = _load_json(args.instance)
     try:
         log_floors = tuple(_decimal_ball(v, prec, exact=True)
-                           for v in doc.get("log_gamma_abs", ()))
+                           for v in _json_list(doc.get("log_gamma_abs", []), "log_gamma_abs"))
         inst = MatveevInstance(
             t=_json_int(doc["t"]),
             D=_json_int(doc["D"]),
             B=_decimal_ball(doc["B"], prec, exact=_json_flag(doc, "exact", True)),
-            A=tuple(_decimal_fraction(str(a)) for a in doc["A"]),
+            A=tuple(_decimal_fraction(str(a)) for a in _json_list(doc["A"], "A")),
             log_gamma_abs=log_floors,
         )
         exponent = matveev_exponent(inst, prec)

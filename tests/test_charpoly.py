@@ -239,23 +239,28 @@ def test_certified_roots_evaluate_few_balls(monkeypatch, k):
 
 @pytest.mark.parametrize("prec", (64, 384, 1024))
 def test_newton_centre_lies_in_its_certified_box(monkeypatch, prec):
-    pairs = []
-    certify = charpoly_module._certify_root
+    points, boxes = [], []
+    refine, certify = charpoly_module._newton_refine, charpoly_module._certify_root
 
-    def recorded(poly, dpoly, point, step, prec, force_real):
-        box = certify(poly, dpoly, point, step, prec, force_real)
-        pairs.append((point, box))
-        return box
+    def recorded_refine(poly, z0, prec):
+        re, im, p, step = refine(poly, z0, prec)
+        points.append((Fraction(re, 2 ** p), Fraction(im, 2 ** p)))
+        return re, im, p, step
 
-    monkeypatch.setattr(charpoly_module, "_certify_root", recorded)
+    def recorded_certify(poly, z0, prec):
+        boxes.append(certify(poly, z0, prec))
+        return boxes[-1]
+
+    monkeypatch.setattr(charpoly_module, "_newton_refine", recorded_refine)
+    monkeypatch.setattr(charpoly_module, "_certify_root", recorded_certify)
     bound = Fraction(1, 2 ** (prec - 16))
     for k in range(2, 41):
-        pairs.clear()
+        points.clear()
+        boxes.clear()
         # certifies at prec itself: compute_roots would need no doubling
         certified_roots(family_polys(k).T, prec)
-        assert pairs
-        for point, box in pairs:
-            re, im = point.mid_fractions()
+        assert boxes and len(points) == len(boxes)
+        for (re, im), box in zip(points, boxes):
             assert box.real().contains(re) and box.imag().contains(im), (k, prec)
             assert box.real().rad() <= bound and box.imag().rad() <= bound, (k, prec)
 
@@ -271,29 +276,44 @@ def test_height_roots_with_extreme_seeds():
         assert weil_height(poly, prec).value.overlaps(expected)
 
 
-@pytest.mark.parametrize("force_real", (True, False))
-def test_newton_at_a_critical_point_raises_retryable(force_real):
+@pytest.mark.parametrize("poly, seed", (
+    pytest.param(IntPoly((-2, 0, 1)), 0j, id="real_seed"),
+    # x^3 + 3x: the derivative 3x^2 + 3 vanishes at +-i
+    pytest.param(IntPoly((0, 3, 0, 1)), 1j, id="complex_seed"),
+))
+def test_newton_at_a_critical_point_raises_retryable(poly, seed):
     with pytest.raises(PrecisionError):
-        _newton_refine(IntPoly((-2, 0, 1)), 0j, 128, force_real=force_real)
+        _newton_refine(poly, seed, 128)
 
 
 def test_newton_stops_only_after_converging_from_a_poor_start():
     prec = 384
     T = family_polys(10).T
-    dT = T.derivative()
     roots = certified_roots(T, prec)
     bound = Fraction(1, 2 ** (prec - 16))
     for est in _initial_estimates(T):
         if est.imag < -1e-7:
             continue  # its conjugate is started instead
         real = abs(est.imag) <= 1e-7
-        ref = min(roots, key=lambda b: abs(complex(*map(float, b.mid_fractions())) - est))
+        ref = min(roots, key=lambda b: abs(complex(b.real().mid(), b.imag().mid()) - est))
         for turn in ((1, -1) if real else (1, 1j, -1, -1j)):
             start = complex(est) + 1e-3 * turn
-            point, step = _newton_refine(T, start, prec, force_real=real)
-            ball = _certify_root(T, dT, point, step, prec, force_real=real)
+            ball = _certify_root(T, complex(start.real) if real else start, prec)
             assert not ball.disjoint(ref), (est, turn)
             assert ball.real().rad() <= bound and ball.imag().rad() <= bound, (est, turn)
+
+
+def test_a_seed_on_the_real_axis_gives_a_real_box():
+    prec = 128
+    cube = IntPoly((-2, 0, 0, 1))
+    real = _certify_root(cube, complex(1.26), prec)
+    assert real.imag().lower() == 0 == real.imag().upper()
+    assert real.real().lower() ** 3 < 2 < real.real().upper() ** 3
+    upper = _certify_root(cube, complex(-0.63, 1.09), prec)
+    assert upper.imag().is_positive()
+    # x^2 + 1 has no real root, and a real seed stays on the axis
+    with pytest.raises(PrecisionError):
+        _certify_root(IntPoly((1, 0, 1)), complex(0.5), prec)
 
 
 def test_root_enclosures_are_within_16_bits_of_precision():

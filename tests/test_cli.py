@@ -139,6 +139,18 @@ def test_roots_cache_derives_structure_from_the_boxes(tmp_path):
         assert invoke(argv + ["--format", fmt]) == expected, fmt
 
 
+def test_roots_cache_refuses_a_profile_with_missing_roots(tmp_path):
+    argv = ["roots", "4", "--cache-dir", str(tmp_path)]
+    assert invoke(argv)[0] == 0
+    path = tmp_path / "roots_k4_p384.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for key in ("roots", "weights", "moduli"):
+        doc[key] = doc[key][:2]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = invoke(argv)
+    assert (code, out) == (4, "") and "certification failed" in err
+
+
 def test_determinism():
     a = invoke(["constants", "4", "--format", "json"])
     b = invoke(["constants", "4", "--format", "json"])
@@ -330,6 +342,25 @@ def test_exact_flag_must_be_a_json_boolean(tmp_path):
     reduce = {"kappa": "0.5", "mu": "0.25", "A": "5", "B": "1.5", "M": 10}
     assert code_for("reduce", {**reduce, "exact": True}) == 0
     assert code_for("reduce", {**reduce, "exact": 1}) == 3
+
+
+def test_array_fields_refuse_strings_and_objects(tmp_path):
+    # a string or object iterates as characters or keys: "101" would be
+    # the coefficients of x^2 + 1 and "12" the list A = (1, 2)
+    doc = tmp_path / "doc.json"
+
+    def code_for(cmd, payload):
+        doc.write_text(json.dumps(payload))
+        return invoke([cmd, str(doc)])[0]
+
+    matveev = {"t": 2, "D": 1, "B": "10", "A": ["6", "6"]}
+    assert code_for("matveev", matveev) == 0
+    assert code_for("matveev", {**matveev, "log_gamma_abs": ["5"]}) == 0
+    assert code_for("height", {"coeffs": "101"}) == 3
+    assert code_for("height", {"coeffs": {"0": 1, "1": 0}}) == 3
+    assert code_for("matveev", {**matveev, "A": "12"}) == 3
+    assert code_for("matveev", {**matveev, "A": {"1": 0, "2": 0}}) == 3
+    assert code_for("matveev", {**matveev, "log_gamma_abs": "5"}) == 3
 
 
 def test_decimal_exponents_over_the_limit_exit_3_at_once(tmp_path):
