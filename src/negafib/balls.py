@@ -388,7 +388,12 @@ def ball_to_json(b: RBall) -> dict:
 
 
 def ball_from_json(doc: dict, prec: int) -> RBall:
-    return RBall((_mpf_decode(doc["exact_lo"]), _mpf_decode(doc["exact_hi"])), prec)
+    """The ball of an exact endpoint pair; an interval with lo > hi raises
+    CertificationError."""
+    lo, hi = _mpf_decode(doc["exact_lo"]), _mpf_decode(doc["exact_hi"])
+    if mpf_cmp(lo, hi) > 0:
+        raise CertificationError("a stored interval has its lower end above its upper end")
+    return RBall((lo, hi), prec)
 
 
 def cball_to_json(z: CBall) -> dict:
@@ -409,13 +414,21 @@ def _mpf_encode(x) -> str:
 
 
 def _mpf_decode(s: str):
+    """Inverse of _mpf_encode.  A mantissa of more than MAX_PREC bits or an
+    exponent beyond 2 MAX_PREC in size raises CertificationError before any
+    arithmetic, so an endpoint never expands to an integer of more than
+    3 MAX_PREC bits."""
+    if not isinstance(s, str):
+        raise TypeError("a stored endpoint must be a string")
     if s == "0":
         return fzero
     neg = s.startswith("-")
     if neg:
         s = s[1:]
     man_hex, exp = s.split("p")
-    man = int(man_hex, 16)
+    man, exp = int(man_hex, 16), int(exp)
+    if man.bit_length() > MAX_PREC or abs(exp) > 2 * MAX_PREC:
+        raise CertificationError("a stored endpoint is larger than MAX_PREC bits can hold")
     if neg:
         man = -man
-    return from_man_exp(man, int(exp))
+    return from_man_exp(man, exp)

@@ -33,7 +33,6 @@ from .balls import (
     MAX_PREC,
     PrecisionError,
     RBall,
-    ball_from_json,
     ball_to_json,
     cball_from_json,
     cball_to_json,
@@ -290,18 +289,17 @@ def certified_roots(poly: IntPoly, prec: int = DEFAULT_PREC) -> list[CBall]:
 class RootProfile:
     """Roots of T_k ordered by certified nonincreasing modulus.
 
-    The box order is the only record of structure: a root is real when its
+    The ordered boxes are the whole profile: a root is real when its
     imaginary interval is exactly [0, 0], and a conjugate pair is a root
     with positive imaginary part directly followed by its conjugate box.
-    Realness, pairs and separation are derived, not stored, so a cache
-    document supplies only boxes, weights g_k(roots[l]) and moduli |roots[l]|.
+    The Binet weights g_k(roots[l]), the moduli |roots[l]|, realness, pairs
+    and separation are all derived from the boxes, so a cache document
+    supplies only the boxes.
     """
 
     k: int
     precision: int
     roots: tuple
-    weights: tuple
-    moduli: tuple
 
     def dominant_root(self) -> RBall:
         return self.roots[0].real()
@@ -310,6 +308,14 @@ class RootProfile:
         if self.k % 2 != 0:
             raise ValueError("minimal-modulus root is real only for even order")
         return self.roots[-1].real()
+
+    @cached_property
+    def weights(self) -> tuple:
+        return tuple(dresden_weight(self.k, r) for r in self.roots)
+
+    @cached_property
+    def moduli(self) -> tuple:
+        return tuple(abs(r) for r in self.roots)
 
     @cached_property
     def real_flags(self) -> tuple:
@@ -332,12 +338,9 @@ def _build_profile(k: int, prec: int) -> RootProfile:
     fam = family_polys(k)
     # a conjugate box has the same modulus to the bit, so the sort keeps
     # each pair together, positive-imaginary member first
-    entries = sorted(((abs(r), r) for r in certified_roots(fam.T, prec)),
-                     key=lambda e: (-e[0].mid(), -e[1].imag().mid()))
-    roots = tuple(r for _, r in entries)
-    weights = tuple(dresden_weight(k, r) for r in roots)
-    profile = RootProfile(k=k, precision=prec, roots=roots, weights=weights,
-                          moduli=tuple(m for m, _ in entries))
+    roots = sorted(certified_roots(fam.T, prec),
+                   key=lambda r: (-abs(r).mid(), -r.imag().mid()))
+    profile = RootProfile(k=k, precision=prec, roots=tuple(roots))
     _check_profile_invariants(profile, fam.T)
     return profile
 
@@ -570,15 +573,10 @@ def profile_to_json(profile: RootProfile) -> dict:
 
 
 def profile_from_json(doc: dict) -> RootProfile:
-    if doc.get("version") != PROFILE_DOC_VERSION:
+    if not isinstance(doc, dict) or doc.get("version") != PROFILE_DOC_VERSION:
         raise ValueError("unsupported root profile document version")
     k, prec = int(doc["k"]), int(doc["precision_bits"])
-    if any(len(doc[key]) != k for key in ("roots", "weights", "moduli")):
-        raise CertificationError(f"an order-{k} profile needs {k} roots, weights and moduli")
-    return RootProfile(
-        k=k,
-        precision=prec,
-        roots=tuple(cball_from_json(d, prec) for d in doc["roots"]),
-        weights=tuple(cball_from_json(d, prec) for d in doc["weights"]),
-        moduli=tuple(ball_from_json(d, prec) for d in doc["moduli"]),
-    )
+    if len(doc["roots"]) != k:
+        raise CertificationError(f"an order-{k} profile needs {k} roots")
+    return RootProfile(k=k, precision=prec,
+                       roots=tuple(cball_from_json(d, prec) for d in doc["roots"]))

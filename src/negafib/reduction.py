@@ -168,7 +168,7 @@ def bd_reduce(inst: BDInstance, prec: int = DEFAULT_PREC,
     inst.validate()
     m_bound = int(inst.M)
     candidates = _candidate_denominators(inst, min_q)
-    last_eps = None
+    first_eps = None
     for q in candidates:
         kq = inst.kappa * q
         mq = inst.mu * q
@@ -177,14 +177,15 @@ def bd_reduce(inst: BDInstance, prec: int = DEFAULT_PREC,
         eps_lo = dm_lo - m_bound * dk_hi
         eps_hi = dm_hi - m_bound * dk_lo
         eps_ball = RBall.from_endpoints(eps_lo, min(eps_hi, Fraction(1, 2)), prec)
-        last_eps = eps_ball
+        if first_eps is None:
+            first_eps = eps_ball
         if eps_lo > 0:
             ratio = (inst.A * q / RBall.from_fraction(eps_lo, prec)).log() / inst.B.log()
             new_bound = math.ceil(ratio.upper())
             return ReductionOutcome(M=m_bound, q=q, epsilon_lower=eps_ball,
                                     new_bound=new_bound, status="reduced")
-    return ReductionOutcome(M=m_bound, q=candidates[0] if candidates else None,
-                            epsilon_lower=last_eps, new_bound=None,
+    return ReductionOutcome(M=m_bound, q=candidates[0],
+                            epsilon_lower=first_eps, new_bound=None,
                             status="not_applicable")
 
 

@@ -294,7 +294,7 @@ class NegativePairBounds:
     certificates: tuple
 
 
-def negative_pair_bounds(profile4: RootProfile, prec: int = DEFAULT_PREC) -> NegativePairBounds:
+def negative_pair_bounds(profile4: RootProfile) -> NegativePairBounds:
     if profile4.k != 4:
         raise ValueError("needs the order-4 profile")
     a2_abs = profile4.moduli[1]
@@ -460,7 +460,7 @@ def k4_pipeline(prec: int = DEFAULT_PREC) -> PipelineReport:
                              note="pairwise distinct moduli of non-conjugate roots"))
 
     # stage 1: both-negative box
-    case2 = negative_pair_bounds(profile, prec)
+    case2 = negative_pair_bounds(profile)
     certs.extend(case2.certificates)
     neg_scan = repeats_scan(4, case2.n_min, 0, repeats_only=True)
     t1 = reference_row_comparison(neg_scan)

@@ -124,19 +124,24 @@ def test_roots_cache_ignores_an_edited_precision(tmp_path):
 
 
 def test_roots_cache_derives_structure_from_the_boxes(tmp_path):
-    # realness, conjugate pairs and separation come from the root boxes, so
-    # edited structural fields in a cache document change nothing
+    # weights, moduli, realness, conjugate pairs and separation come from the
+    # root boxes, so edited derived fields in a cache document change nothing
     plain = {fmt: invoke(["roots", "6", "--format", fmt]) for fmt in ("json", "csv", "text")}
     argv = ["roots", "6", "--cache-dir", str(tmp_path)]
     assert invoke(argv + ["--format", "json"]) == plain["json"]
     path = tmp_path / "roots_k6_p384.json"
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    doc["real_flags"] = [not flag for flag in doc["real_flags"]]
-    doc["conjugate_partner"] = [None] * len(doc["conjugate_partner"])
-    doc["separation_certified"] = False
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    for fmt, expected in plain.items():
-        assert invoke(argv + ["--format", fmt]) == expected, fmt
+    cached = json.loads(path.read_text(encoding="utf-8"))
+    edited = dict(cached, weights=cached["weights"][::-1],
+                  real_flags=[not flag for flag in cached["real_flags"]],
+                  conjugate_partner=[None] * len(cached["conjugate_partner"]),
+                  separation_certified=False)
+    edited["moduli"] = list(cached["moduli"])
+    edited["moduli"][3] = dict(cached["moduli"][3], exact_lo="1p0", exact_hi="1p0")
+    cut = dict(cached, weights=cached["weights"][:2], moduli=cached["moduli"][:2])
+    for doc in (edited, cut):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for fmt, expected in plain.items():
+            assert invoke(argv + ["--format", fmt]) == expected, fmt
 
 
 def test_roots_cache_refuses_a_profile_with_missing_roots(tmp_path):
@@ -149,6 +154,28 @@ def test_roots_cache_refuses_a_profile_with_missing_roots(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = invoke(argv)
     assert (code, out) == (4, "") and "certification failed" in err
+
+
+def test_roots_cache_refuses_malformed_boxes_at_once(tmp_path):
+    argv = ["roots", "4", "--cache-dir", str(tmp_path)]
+    assert invoke(argv)[0] == 0
+    path = tmp_path / "roots_k4_p384.json"
+    cached = path.read_text(encoding="utf-8")
+    a1 = json.loads(cached)["roots"][0]["re"]
+    # (root, lo, hi, exit code): a reversed interval, swapped endpoints, an
+    # exponent past any precision, and a non-string endpoint
+    cases = [(3, "3p0", "-3p0", 4), (0, a1["exact_hi"], a1["exact_lo"], 4),
+             (0, a1["exact_lo"], "1p99999999999", 4), (0, 1, a1["exact_hi"], 3)]
+    for i, lo, hi, expected in cases:
+        doc = json.loads(cached)
+        doc["roots"][i]["re"].update(exact_lo=lo, exact_hi=hi)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = invoke(argv)
+        assert (code, out) == (expected, "") and err, (lo, hi)
+        assert time.perf_counter() - start < 0.1, (lo, hi)
+    path.write_text(json.dumps([json.loads(cached)]), encoding="utf-8")
+    assert invoke(argv)[:2] == (3, "")
 
 
 def test_determinism():
@@ -219,6 +246,21 @@ def test_reduce_subcommand(tmp_path):
     validate(payload, "reduction_trace.schema.json")
     assert payload["trace"][0]["q"] == 2
     assert payload["trace"][0]["status"] == "reduced"
+
+
+def test_reduce_reports_the_epsilon_of_the_reported_q(tmp_path):
+    # no candidate reduces, so the pass reports the first candidate with
+    # its own epsilon, not the epsilon of the last candidate tried
+    inst = tmp_path / "bd.json"
+    inst.write_text(json.dumps({
+        "kappa": "0.41421356237309504880168872420969807856967187537694",
+        "mu": "0", "A": "5", "B": "1.5", "M": 10, "exact": True,
+    }))
+    code, out, _ = invoke(["reduce", str(inst), "--format", "json"])
+    assert code == 0
+    [outcome] = json.loads(out)["trace"]
+    assert (outcome["q"], outcome["status"]) == (12, "not_applicable")
+    assert outcome["epsilon_lower"]["mid"].startswith("-0.2943")
 
 
 def test_reduce_precision_exhaustion(tmp_path):

@@ -149,7 +149,7 @@ def test_residue_sieve_never_rejects_a_power():
 
 
 def test_negative_pair_bounds(profile4):
-    case2 = negative_pair_bounds(profile4, PREC)
+    case2 = negative_pair_bounds(profile4)
     assert (case2.d_min, case2.m_min, case2.n_min) == (-15, -89, -104)
     assert all(c.ok for c in case2.certificates)
     printed = {
@@ -165,7 +165,7 @@ def test_negative_pair_bounds(profile4):
 
 
 def test_negative_pair_bounds_contain_all_solutions(profile4):
-    case2 = negative_pair_bounds(profile4, PREC)
+    case2 = negative_pair_bounds(profile4)
     found = pm_intersection(4, 4, (case2.m_min - 60, -1), (case2.n_min - 60, -1))
     for m, n, _c, _s in found.matches:
         if m == n:
